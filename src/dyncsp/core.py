@@ -7,10 +7,18 @@ under one or more justifications (firing ids or observation ids), so every
 removal is reversible and attributable. Every mutation appends to an event
 log; replaying the log against a fresh structural copy reproduces the
 state exactly.
+
+Each network also keeps an agenda that holds every rule that may be
+applicable. Every mutation that can make a rule applicable queues it: a
+mask or release that leaves a condition variable instantiated, the
+release of a value that a rule's conclusion excludes, a new or restored
+constraint. Propagation drains the agenda instead of rescanning every
+rule.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -153,6 +161,47 @@ class ChangeRecord:
         return bool(self.masked or self.released or self.cancelled)
 
 
+AgendaEntry = tuple[ConstraintId, int]  # (constraint id, 1-based rule index)
+
+
+class Agenda:
+    """Rules that may be applicable, each queued at most once.
+
+    Entries pop smallest first, or uniformly at random given an rng. A
+    random pop swaps the entry out and leaves the heap unordered until
+    the next ordered pop, so both are cheap.
+    """
+
+    def __init__(self) -> None:
+        self.heap: list[AgendaEntry] = []
+        self.queued: set[AgendaEntry] = set()
+        self.ordered = True
+
+    def __len__(self) -> int:
+        return len(self.heap)
+
+    def push(self, entries: Iterable[AgendaEntry]) -> None:
+        for entry in entries:
+            if entry not in self.queued:
+                self.queued.add(entry)
+                heapq.heappush(self.heap, entry)
+
+    def pop(self, rng=None) -> AgendaEntry:
+        heap = self.heap
+        if rng is None:
+            if not self.ordered:
+                heapq.heapify(heap)
+                self.ordered = True
+            entry = heapq.heappop(heap)
+        else:
+            i = rng.randrange(len(heap))
+            heap[i], heap[-1] = heap[-1], heap[i]
+            entry = heap.pop()
+            self.ordered = False
+        self.queued.discard(entry)
+        return entry
+
+
 @dataclass
 class _Snapshot:
     masks: dict
@@ -173,6 +222,12 @@ class Network:
     ``short_circuit`` makes one propagation pass fire at most one rule per
     constraint; ``rng`` switches rule selection to a randomized order (a
     test mode for exercising confluence).
+
+    ``rule_watch`` maps a condition literal to the rules that test it;
+    ``conclusion_watch`` maps a (variable, value) pair to the rules whose
+    conclusions exclude that value. Together with the constraint's own
+    rule list they say which rules a mutation can make applicable, and
+    ``agenda`` holds every rule that may be applicable right now.
     """
 
     def __init__(self, *, short_circuit: bool = False, rng=None):
@@ -180,7 +235,9 @@ class Network:
         self.constraints: dict[ConstraintId, ExtensionalConstraint] = {}
         self.rules: dict[ConstraintId, tuple[PropagationRule, ...]] = {}
         self.rule_index: dict[RuleId, PropagationRule] = {}
-        self.rule_watch: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
+        self.rule_watch: dict[ConditionLiteral, list[AgendaEntry]] = {}
+        self.conclusion_watch: dict[tuple[VariableId, Value], list[AgendaEntry]] = {}
+        self.agenda = Agenda()
         self.observations: dict[ObservationId, Observation] = {}
         self.firings: dict[FiringId, Firing] = {}
         self.active_firing: dict[RuleId, FiringId] = {}
@@ -231,8 +288,14 @@ class Network:
             if rule.id in self.rule_index:
                 raise ValueError(f"rule id {rule.id!r} already registered")
             self.rule_index[rule.id] = rule
+            entry = (cid, rule.index)
             for lit in rule.conditions:
-                self.rule_watch.setdefault(lit.variable, []).append((cid, rule.index))
+                self.rule_watch.setdefault(lit, []).append(entry)
+            for var, vals in rule.conclusions:
+                for value in self.domains[var].declared:
+                    if value not in vals:
+                        self.conclusion_watch.setdefault((var, value), []).append(entry)
+        self.queue_rules(cid)
 
     def domain(self, variable: VariableId) -> FiniteDomain:
         dom = self.domains.get(variable)
@@ -251,6 +314,10 @@ class Network:
         if rule is None:
             raise ValueError(f"unknown rule {rule_id!r}")
         return rule
+
+    def queue_rules(self, constraint_id: ConstraintId) -> None:
+        """Put every rule of one constraint on the agenda."""
+        self.agenda.push((constraint_id, rule.index) for rule in self.rules[constraint_id])
 
     def first_empty(self) -> VariableId | None:
         return self.empty_order[0] if self.empty_order else None
@@ -277,7 +344,11 @@ class Network:
         )
 
     def rollback(self, snap: _Snapshot) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
+        """Restore the state captured by :meth:`snapshot`.
+
+        The agenda is not captured; every active rule is queued again,
+        a superset of the rules applicable in the restored state.
+        """
         for name, dom in self.domains.items():
             dom.mask = {value: ctr.copy() for value, ctr in snap.masks[name].items()}
         for fid in [f for f in self.firings if f >= snap.next_firing_id]:
@@ -295,6 +366,9 @@ class Network:
             self.constraints[cid].active = flag
         del self.events[snap.event_count:]
         self.next_firing_id = snap.next_firing_id
+        for cid, constraint in self.constraints.items():
+            if constraint.active:
+                self.queue_rules(cid)
 
 
 def mask_value(network: Network, variable: VariableId, value: Value, cause: Cause) -> bool:
@@ -305,9 +379,13 @@ def mask_value(network: Network, variable: VariableId, value: Value, cause: Caus
     newly = value not in dom.mask
     dom.mask.setdefault(value, Counter())[cause] += 1
     network.events.append(("mask", variable, value, cause))
-    if newly and dom.visible_count() == 0:
-        network.empty_order.append(variable)
-        network.events.append(("conflict", variable))
+    if newly:
+        remaining = dom.visible_count()
+        if remaining == 1:
+            _queue_instantiated(network, dom)
+        elif remaining == 0:
+            network.empty_order.append(variable)
+            network.events.append(("conflict", variable))
     return newly
 
 
@@ -324,9 +402,18 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
     if ctr:
         return False
     del dom.mask[value]
-    if dom.visible_count() == 1 and variable in network.empty_order:
-        network.empty_order.remove(variable)
+    if dom.visible_count() == 1:
+        if variable in network.empty_order:
+            network.empty_order.remove(variable)
+        _queue_instantiated(network, dom)
+    network.agenda.push(network.conclusion_watch.get((variable, value), ()))
     return True
+
+
+def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
+    """Queue the rules whose condition on ``dom`` holds now that one value is left."""
+    (value,) = dom.visible()
+    network.agenda.push(network.rule_watch.get(ConditionLiteral(dom.variable, value), ()))
 
 
 def restrict(

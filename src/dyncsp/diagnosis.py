@@ -43,37 +43,48 @@ def diagnose(network: Network, max_cardinality: int) -> list[Diagnosis]:
         raise ValueError("max_cardinality must be at least 1")
     snapshot = network.snapshot()
     found: list[frozenset[ConstraintId]] = []
-    visited: set[frozenset[ConstraintId]] = set()
-
-    def explore(relaxed: frozenset[ConstraintId]) -> None:
-        if relaxed in visited:
-            return
-        visited.add(relaxed)
-        if any(d <= relaxed for d in found):
-            return
-        consistent, conflict = check_consistent(network)
-        if consistent:
-            found.append(relaxed)
-            return
-        if len(relaxed) >= max_cardinality:
-            return
-        candidates = sorted(
-            cid
-            for cid in conflict.constraints
-            if network.constraints[cid].relaxable and cid not in relaxed
-        )
-        for cid in candidates:
-            relax(network, cid)
-            explore(relaxed | {cid})
-            restore(network, cid)
-
     try:
         consistent, _ = check_consistent(network)
         if consistent:
             return [Diagnosis(frozenset(), 0)]
-        explore(frozenset())
+        _explore(network, frozenset(), max_cardinality, found, set())
     finally:
         network.rollback(snapshot)
     minimal = [s for s in found if not any(o < s for o in found)]
     minimal.sort(key=lambda s: (len(s), sorted(s)))
     return [Diagnosis(s, len(s)) for s in minimal]
+
+
+def _explore(
+    network: Network,
+    relaxed: frozenset[ConstraintId],
+    max_cardinality: int,
+    found: list[frozenset[ConstraintId]],
+    visited: set[frozenset[ConstraintId]],
+) -> None:
+    """Depth-first search below the node that has ``relaxed`` relaxed.
+
+    A module-level function rather than a closure: a recursive closure
+    references itself through its cell, and that cycle would keep the
+    network alive until the cyclic garbage collector ran.
+    """
+    if relaxed in visited:
+        return
+    visited.add(relaxed)
+    if any(d <= relaxed for d in found):
+        return
+    consistent, conflict = check_consistent(network)
+    if consistent:
+        found.append(relaxed)
+        return
+    if len(relaxed) >= max_cardinality:
+        return
+    candidates = sorted(
+        cid
+        for cid in conflict.constraints
+        if network.constraints[cid].relaxable and cid not in relaxed
+    )
+    for cid in candidates:
+        relax(network, cid)
+        _explore(network, relaxed | {cid}, max_cardinality, found, visited)
+        restore(network, cid)

@@ -3,9 +3,9 @@
 Cancelling a firing releases exactly the masks it justified, then
 cascades to any active firing whose condition no longer holds on the
 values that became visible again. Relaxing a constraint cancels the
-firings of its rules; restoring it simply reactivates the rules and lets
-propagation re-derive their consequences from the current state. No
-operation ever recomputes the network from scratch.
+firings of its rules; restoring it reactivates the rules and queues them
+on the agenda, so propagation re-derives their consequences from the
+current state. No operation ever recomputes the network from scratch.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
     The cascade is iterative: a released value can re-widen a domain,
     breaking the instantiation another firing depended on, which is then
     cancelled the same way. Cancelling an already cancelled firing is a
-    no-op.
+    no-op. The rule needs no agenda entry of its own: its firing masked
+    every value the rule excludes, so the rule becomes useful again only
+    when one of those values is released, which queues it.
     """
     if firing_id not in network.firings:
         raise ValueError(f"unknown firing {firing_id!r}")
@@ -103,6 +105,7 @@ def restore(network: Network, constraint_id: ConstraintId) -> PropagationOutcome
         raise ValueError(f"constraint {constraint_id!r} is already active")
     constraint.active = True
     network.events.append(("restore", constraint_id))
+    network.queue_rules(constraint_id)
     return propagate(network)
 
 

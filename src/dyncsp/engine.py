@@ -10,11 +10,11 @@ graph of that variable.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .core import (
     ACTIVE,
+    AgendaEntry,
     Cause,
     ChangeRecord,
     ConditionLiteral,
@@ -183,73 +183,44 @@ def propagate(network: Network) -> PropagationOutcome:
     """Fire applicable rules to a fixpoint or to the first new empty domain.
 
     While some variable is already empty the network is frozen: the pass
-    fires nothing and reports the standing conflict. Rules are taken in
-    (constraint id, rule index) order, so runs are reproducible; a
-    network built with an rng draws the next rule at random instead.
+    fires nothing, reports the standing conflict and leaves the agenda
+    as it is. Otherwise the pass drains ``network.agenda``, which holds
+    every rule that may be applicable, taking entries in (constraint id,
+    rule index) order so runs are reproducible; a network built with an
+    rng draws entries at random instead. A new conflict ends the pass and
+    leaves the remaining entries queued. Under ``short_circuit`` the
+    entries of a constraint that already fired in this pass are held
+    back and queued again for the next pass.
     """
     standing = network.first_empty()
     if standing is not None:
         return _conflict_outcome(network, standing, [], [])
-    if network.rng is not None:
-        return _propagate_shuffled(network)
-    heap: list[tuple[ConstraintId, int]] = []
-    queued: set[tuple[ConstraintId, int]] = set()
-
-    def push(entry: tuple[ConstraintId, int]) -> None:
-        if entry not in queued:
-            queued.add(entry)
-            heapq.heappush(heap, entry)
-
-    for cid, constraint in network.constraints.items():
-        if constraint.active:
-            for rule in network.rules[cid]:
-                push((cid, rule.index))
+    agenda = network.agenda
     fired: list[FiringId] = []
     changed: list[tuple[VariableId, Value]] = []
     exhausted: set[ConstraintId] = set()
-    while heap:
-        cid, index = heapq.heappop(heap)
-        queued.discard((cid, index))
-        if not network.constraints[cid].active or cid in exhausted:
-            continue
-        rule = network.rules[cid][index - 1]
-        if not rule_applicable(network, rule):
-            continue
-        record = fire_rule(network, rule)
-        fired.append(network.active_firing[rule.id])
-        changed.extend(record.masked)
-        if network.short_circuit:
-            exhausted.add(cid)
-        if record.emptied is not None:
-            return _conflict_outcome(network, record.emptied, fired, changed)
-        for var, _ in record.masked:
-            for entry in network.rule_watch.get(var, ()):
-                push(entry)
-    return PropagationOutcome(FIXPOINT, fired, changed, None)
-
-
-def _propagate_shuffled(network: Network) -> PropagationOutcome:
-    fired: list[FiringId] = []
-    changed: list[tuple[VariableId, Value]] = []
-    exhausted: set[ConstraintId] = set()
-    while True:
-        candidates = []
-        for cid in sorted(network.constraints):
-            if not network.constraints[cid].active or cid in exhausted:
+    held: list[AgendaEntry] = []
+    try:
+        while agenda:
+            cid, index = agenda.pop(network.rng)
+            if not network.constraints[cid].active:
+                continue  # restore queues the constraint's rules again
+            if cid in exhausted:
+                held.append((cid, index))
                 continue
-            for rule in network.rules[cid]:
-                if rule_applicable(network, rule):
-                    candidates.append(rule)
-        if not candidates:
-            return PropagationOutcome(FIXPOINT, fired, changed, None)
-        rule = network.rng.choice(candidates)
-        record = fire_rule(network, rule)
-        fired.append(network.active_firing[rule.id])
-        changed.extend(record.masked)
-        if network.short_circuit:
-            exhausted.add(rule.owner)
-        if record.emptied is not None:
-            return _conflict_outcome(network, record.emptied, fired, changed)
+            rule = network.rules[cid][index - 1]
+            if not rule_applicable(network, rule):
+                continue
+            record = fire_rule(network, rule)
+            fired.append(network.active_firing[rule.id])
+            changed.extend(record.masked)
+            if network.short_circuit:
+                exhausted.add(cid)
+            if record.emptied is not None:
+                return _conflict_outcome(network, record.emptied, fired, changed)
+        return PropagationOutcome(FIXPOINT, fired, changed, None)
+    finally:
+        agenda.push(held)
 
 
 def assert_observation(network: Network, observation: Observation) -> PropagationOutcome:

@@ -11,9 +11,12 @@ import time
 from itertools import permutations
 
 from dyncsp import (
+    ConditionLiteral,
     ExtensionalConstraint,
     Network,
     Observation,
+    PropagationRule,
+    RuleSet,
     assert_observation,
     build_network,
     diagnose,
@@ -27,6 +30,7 @@ from dyncsp import (
     run_script,
     verify_rules,
 )
+from dyncsp import engine
 
 from generators import (
     oracle_structures,
@@ -371,3 +375,58 @@ def test_criterion_9_chain_performance():
     assert len(out.fired) == 501
     assert net.domains["V1000"].visible_count() == 1
     assert restore_time < 0.050
+
+
+def _inverter_chain(length):
+    """V0 -> V1 -> ... -> V<length> through ``not`` gates N1..N<length>.
+
+    One gate is compiled and its rules are renamed for the others, which
+    keeps a 10 000-gate chain cheap to build.
+    """
+    table = gate_table("not", 1)
+    template = generate(ExtensionalConstraint("N", "not", ("A", "B"), table), {"A": BOOL, "B": BOOL})
+    net = Network()
+    net.add_variable("V0")
+    for i in range(1, length + 1):
+        net.add_variable(f"V{i}")
+        cid, names = f"N{i}", {"A": f"V{i - 1}", "B": f"V{i}"}
+        rules = tuple(
+            PropagationRule(
+                f"{cid}.R{rule.index}",
+                cid,
+                rule.index,
+                tuple(ConditionLiteral(names[lit.variable], lit.value) for lit in rule.conditions),
+                tuple((names[var], vals) for var, vals in rule.conclusions),
+            )
+            for rule in template.rules
+        )
+        scope = (names["A"], names["B"])
+        net.add_constraint(ExtensionalConstraint(cid, "not", scope, table), RuleSet(cid, rules))
+    return net
+
+
+def test_criterion_9_chain_work_is_proportional_to_the_change(monkeypatch):
+    """On a 10 000-gate chain, relax and restore check at most 8 rules per
+    value they release or firing they make, wherever the chain is cut;
+    a pass over every rule would check 40 000."""
+    net = _inverter_chain(10_000)
+    assert assert_observation(net, Observation("M1", "V0", "true")).status == "fixpoint"
+    checks = 0
+    original = engine.rule_applicable
+
+    def counted(network, rule):
+        nonlocal checks
+        checks += 1
+        return original(network, rule)
+
+    monkeypatch.setattr(engine, "rule_applicable", counted)
+    for cut in (5000, 9900):
+        checks = 0
+        out = relax(net, f"N{cut}")
+        released = sum(dom.visible_count() == 2 for dom in net.domains.values())
+        assert released == 10_001 - cut
+        assert checks <= 8 * (released + len(out.fired))
+        checks = 0
+        out = restore(net, f"N{cut}")
+        assert len(out.fired) == released
+        assert checks <= 8 * len(out.fired)

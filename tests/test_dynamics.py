@@ -13,11 +13,13 @@ from dyncsp import (
     assert_observation,
     build_network,
     cancel_firing,
+    diagnose,
     gate_table,
     generate,
     relax,
     restore,
     retract_observation,
+    rule_applicable,
 )
 
 from generators import random_network, random_sequence
@@ -298,3 +300,64 @@ def test_dynamic_sequences_match_a_scratch_rebuild(seed):
     assert live_empty == fresh_empty
     if live_empty:
         assert visible(net) == visible(fresh)
+
+
+def assert_agenda_covers_applicable_rules(net):
+    """Every rule that could fire right now is queued on the agenda."""
+    for cid, constraint in net.constraints.items():
+        if constraint.active:
+            for rule in net.rules[cid]:
+                if rule_applicable(net, rule):
+                    assert (cid, rule.index) in net.agenda.queued, rule.id
+
+
+def test_agenda_holds_every_applicable_rule_through_dynamic_sequences():
+    for short_circuit in (False, True):
+        for seed in range(100):
+            spec = random_network(seed)
+            net = build_network(spec, short_circuit=short_circuit, assert_observations=False)
+            for step in random_sequence(seed ^ 0xFADE, spec):
+                run_op(net, step)
+                assert_agenda_covers_applicable_rules(net)
+                if not short_circuit and net.first_empty() is None:
+                    assert not net.agenda, (seed, step)
+
+
+def test_release_that_instantiates_an_emptied_domain_queues_its_rules():
+    net = inverter_chain(1)
+    assert_observation(net, Observation("M1", "V0", "true"))
+    assert assert_observation(net, Observation("M2", "V0", "false")).status == "conflict"
+    # V0 goes from empty to {false}: the rule conditioned on V0=false must fire
+    out = retract_observation(net, "M1")
+    assert out.status == "fixpoint"
+    assert len(out.fired) == 1
+    assert visible(net) == {"V0": ("false",), "V1": ("true",)}
+
+
+def test_restore_during_a_standing_conflict_stays_pending():
+    net = inverter_chain(1)
+    net.add_variable("Z")
+    relax(net, "N1")
+    assert_observation(net, Observation("M1", "V0", "true"))
+    assert_observation(net, Observation("M2", "Z", "true"))
+    assert_observation(net, Observation("M3", "Z", "false"))
+    out = restore(net, "N1")
+    assert out.status == "conflict" and out.fired == []
+    assert net.domains["V1"].visible() == ("false", "true")
+    out = retract_observation(net, "M3")
+    assert out.status == "fixpoint"
+    assert net.domains["V1"].visible() == ("false",)
+
+
+def test_propagate_after_diagnose_finds_rules_its_probes_consumed():
+    net = gate_net(("N1", "not", "X", "Y"), ("N2", "not", "A", "B"))
+    assert_observation(net, Observation("M1", "X", "true"))
+    assert assert_observation(net, Observation("M2", "Y", "true")).status == "conflict"
+    # frozen by the conflict: the N2 rule this pin enables stays queued
+    assert_observation(net, Observation("M3", "A", "true"))
+    # the relax N1 probe fires that rule; the rollback discards the firing
+    assert [d.constraints for d in diagnose(net, 1)] == [frozenset({"N1"})]
+    assert net.domains["B"].visible() == ("false", "true")
+    out = retract_observation(net, "M2")
+    assert out.status == "fixpoint"
+    assert visible(net) == {"X": ("true",), "Y": ("false",), "A": ("true",), "B": ("false",)}

@@ -107,6 +107,21 @@ def test_propagation_is_deterministic_and_ordered():
     assert all(out.status == "fixpoint" for out in outs)
 
 
+def test_rules_of_a_new_constraint_are_queued():
+    # an unconditional rule fires on the first pass, a pinned condition on a later one
+    net = Network()
+    for var in ("A", "B", "C"):
+        net.add_variable(var)
+    forced = ExtensionalConstraint("F", "table", ("A", "B"), frozenset({("false", "true"), ("true", "true")}))
+    net.add_constraint(forced, generate(forced, {"A": BOOL, "B": BOOL}))
+    assert propagate(net).status == "fixpoint"
+    assert net.domains["B"].visible() == ("true",)
+    inverter = ExtensionalConstraint("N", "not", ("B", "C"), gate_table("not", 1))
+    net.add_constraint(inverter, generate(inverter, {"B": BOOL, "C": BOOL}))
+    assert propagate(net).status == "fixpoint"
+    assert net.domains["C"].visible() == ("false",)
+
+
 def test_conflict_at_pin_names_both_observations_and_culprit():
     net = circuit0_net()
     out = assert_all(
@@ -250,6 +265,18 @@ def test_short_circuit_limits_one_firing_per_constraint_per_pass():
     # the limit is per pass: a fresh pass completes the pruning
     propagate(limited)
     assert limited.domains["R"].visible() == ("false",)
+
+
+def test_short_circuit_keeps_held_back_rules_queued_for_the_next_pass():
+    net = staged_table_net(short_circuit=True)
+    assert_observation(net, Observation("M1", "X", "true"))
+    assert any(cid == "CB" for cid, _ in net.agenda.queued)
+    out = propagate(net)
+    assert [net.rule(net.firings[fid].rule).owner for fid in out.fired] == ["CB"]
+    assert net.domains["R"].visible() == ("false",)
+    # CB fired again, so its other rules are held back once more
+    assert propagate(net).fired == []
+    assert not net.agenda
 
 
 def test_short_circuit_preserves_gate_fixpoints():

@@ -201,6 +201,13 @@ class Agenda:
         self.queued.discard(entry)
         return entry
 
+    def copy(self) -> "Agenda":
+        twin = Agenda()
+        twin.heap = list(self.heap)
+        twin.queued = set(self.queued)
+        twin.ordered = self.ordered
+        return twin
+
 
 @dataclass
 class _Snapshot:
@@ -212,6 +219,7 @@ class _Snapshot:
     observation_ids: set
     observation_active: dict
     constraint_active: dict
+    agenda: Agenda
     event_count: int
     next_firing_id: int
 
@@ -261,6 +269,10 @@ class Network:
         return dom
 
     def add_constraint(self, constraint: ExtensionalConstraint, ruleset: RuleSet) -> None:
+        """Register a constraint and its rules, checking everything first.
+
+        A rejected call raises ``ValueError`` and leaves the network as it was.
+        """
         cid = constraint.id
         if cid in self.constraints:
             raise ValueError(f"constraint {cid!r} already declared")
@@ -282,11 +294,17 @@ class Network:
                     raise ValueError(
                         f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
                     )
+        seen: set[RuleId] = set()
+        for rule in ruleset.rules:
+            if rule.id in self.rule_index or rule.id in seen:
+                raise ValueError(f"rule id {rule.id!r} already registered")
+            seen.add(rule.id)
+            used = {lit.variable for lit in rule.conditions} | {var for var, _ in rule.conclusions}
+            if not used <= self.domains.keys():
+                raise ValueError(f"rule {rule.id!r} uses an undeclared variable")
         self.constraints[cid] = constraint
         self.rules[cid] = ruleset.rules
         for rule in ruleset.rules:
-            if rule.id in self.rule_index:
-                raise ValueError(f"rule id {rule.id!r} already registered")
             self.rule_index[rule.id] = rule
             entry = (cid, rule.index)
             for lit in rule.conditions:
@@ -339,16 +357,13 @@ class Network:
             observation_ids=set(self.observations),
             observation_active={oid: obs.active for oid, obs in self.observations.items()},
             constraint_active={cid: c.active for cid, c in self.constraints.items()},
+            agenda=self.agenda.copy(),
             event_count=len(self.events),
             next_firing_id=self.next_firing_id,
         )
 
     def rollback(self, snap: _Snapshot) -> None:
-        """Restore the state captured by :meth:`snapshot`.
-
-        The agenda is not captured; every active rule is queued again,
-        a superset of the rules applicable in the restored state.
-        """
+        """Restore the state captured by :meth:`snapshot`."""
         for name, dom in self.domains.items():
             dom.mask = {value: ctr.copy() for value, ctr in snap.masks[name].items()}
         for fid in [f for f in self.firings if f >= snap.next_firing_id]:
@@ -366,9 +381,7 @@ class Network:
             self.constraints[cid].active = flag
         del self.events[snap.event_count:]
         self.next_firing_id = snap.next_firing_id
-        for cid, constraint in self.constraints.items():
-            if constraint.active:
-                self.queue_rules(cid)
+        self.agenda = snap.agenda.copy()
 
 
 def mask_value(network: Network, variable: VariableId, value: Value, cause: Cause) -> bool:

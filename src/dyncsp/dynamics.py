@@ -1,14 +1,17 @@
 """Incremental retraction: cancelling firings and toggling constraints.
 
 Cancelling a firing releases exactly the masks it justified, then
-cascades to any active firing whose condition no longer holds on the
-values that became visible again. Relaxing a constraint cancels the
-firings of its rules; restoring it reactivates the rules and queues them
-on the agenda, so propagation re-derives their consequences from the
-current state. No operation ever recomputes the network from scratch.
+cascades to any active firing left unfounded: a value its condition
+needs hidden became visible again, or is now hidden only by firings
+younger than itself. Relaxing a constraint cancels the firings of its
+rules; restoring it reactivates the rules and queues them on the
+agenda, so propagation re-derives their consequences from the current
+state. No operation ever recomputes the network from scratch.
 """
 
 from __future__ import annotations
+
+import math
 
 from .core import (
     ACTIVE,
@@ -18,37 +21,50 @@ from .core import (
     FiringId,
     Network,
     ObservationId,
+    Value,
     VariableId,
     release,
     release_observation_masks,
 )
-from .engine import PropagationOutcome, condition_holds, propagate
+from .engine import PropagationOutcome, propagate
 
 
-def _broken_watchers(network: Network, variable: VariableId) -> list[FiringId]:
-    """Active firings watching ``variable`` whose condition on it broke."""
-    broken = []
+def _unfounded_watchers(network: Network, variable: VariableId, value: Value) -> list[FiringId]:
+    """Active firings relying on ``variable=value`` being hidden, without an older cause.
+
+    A firing relies on every value its condition on ``variable`` excludes,
+    and stays founded while each such value is hidden by an observation
+    or by a firing older than itself. Firing ids grow, so while every
+    active firing is founded, every mask rests on observations: firings
+    that only hide each other's values form a cycle of self-support, and
+    its oldest member is unfounded.
+    """
+    causes = network.domains[variable].mask.get(value, ())
+    if any(isinstance(cause, str) for cause in causes):
+        return []
+    oldest = min(causes, default=math.inf)
+    unfounded = []
     for fid in sorted(network.watchers.get(variable, ())):
         firing = network.firings[fid]
-        if firing.status != ACTIVE:
+        if fid > oldest or firing.status != ACTIVE:
             continue
-        rule = network.rule(firing.rule)
-        for lit in rule.conditions:
-            if lit.variable == variable and not condition_holds(network, lit):
-                broken.append(fid)
-                break
-    return broken
+        conditions = network.rule(firing.rule).conditions
+        if any(lit.variable == variable and lit.value != value for lit in conditions):
+            unfounded.append(fid)
+    return unfounded
 
 
 def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
     """Withdraw a firing and every firing its masks were holding up.
 
     The cascade is iterative: a released value can re-widen a domain,
-    breaking the instantiation another firing depended on, which is then
-    cancelled the same way. Cancelling an already cancelled firing is a
-    no-op. The rule needs no agenda entry of its own: its firing masked
-    every value the rule excludes, so the rule becomes useful again only
-    when one of those values is released, which queues it.
+    breaking the instantiation another firing depended on, or stay
+    hidden only by firings younger than one that relies on it; either
+    firing is then cancelled the same way. Cancelling an already
+    cancelled firing is a no-op. The rule needs no agenda entry of its
+    own: its firing masked every value the rule excludes, so the rule
+    becomes useful again only when one of those values is released,
+    which queues it.
     """
     if firing_id not in network.firings:
         raise ValueError(f"unknown firing {firing_id!r}")
@@ -67,13 +83,10 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
         for lit in rule.conditions:
             network.watchers.get(lit.variable, set()).discard(fid)
         network.events.append(("cancel", fid))
-        regrown = []
         for var, value in firing.effects:
             if release(network, var, value, fid):
                 record.released.append((var, value))
-                regrown.append(var)
-        for var in regrown:
-            stack.extend(_broken_watchers(network, var))
+            stack.extend(_unfounded_watchers(network, var, value))
     return record
 
 
@@ -110,7 +123,11 @@ def restore(network: Network, constraint_id: ConstraintId) -> PropagationOutcome
 
 
 def retract_observation(network: Network, observation_id: ObservationId) -> PropagationOutcome:
-    """Withdraw an observation, unpin its variable, and re-propagate."""
+    """Withdraw an observation, unpin its variable, and re-propagate.
+
+    Firings whose conditions the pin held up, alone or together with
+    younger firings only, are cancelled before propagating.
+    """
     observation = network.observations.get(observation_id)
     if observation is None:
         raise ValueError(f"unknown observation {observation_id!r}")
@@ -118,8 +135,14 @@ def retract_observation(network: Network, observation_id: ObservationId) -> Prop
         raise ValueError(f"observation {observation_id!r} is already retracted")
     observation.active = False
     network.events.append(("retract", observation_id))
-    record = release_observation_masks(network, observation)
-    for var in {var for var, _ in record.released}:
-        for fid in _broken_watchers(network, var):
-            cancel_firing(network, fid)
+    release_observation_masks(network, observation)
+    var = observation.variable
+    unfounded = [
+        fid
+        for value in network.domains[var].declared
+        if value != observation.value
+        for fid in _unfounded_watchers(network, var, value)
+    ]
+    for fid in unfounded:
+        cancel_firing(network, fid)
     return propagate(network)

@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .compiler import dump_rules, generate
-from .core import ExtensionalConstraint, Network, Observation
+from .compiler import dump_rules, generate, rename_rules
+from .core import ExtensionalConstraint, Network, Observation, RuleSet
 from .diagnosis import diagnose
 from .dynamics import relax, restore, retract_observation
 from .engine import (
@@ -38,9 +38,10 @@ def build_network(
 ) -> Network:
     """Compile every declared constraint into a ready-to-run network.
 
-    With ``assert_observations`` the observations declared in ``spec``
-    are asserted (and propagated) in declaration order. A ``seed``
-    switches propagation to randomized rule selection.
+    Constraints of one shape are compiled once per call (see
+    :func:`_compile`). With ``assert_observations`` the observations
+    declared in ``spec`` are asserted (and propagated) in declaration
+    order. A ``seed`` switches propagation to randomized rule selection.
     """
     rng = random.Random(seed) if seed is not None else None
     network = Network(short_circuit=short_circuit, rng=rng)
@@ -48,18 +49,16 @@ def build_network(
     for v in spec.variables:
         network.add_variable(v.name, v.domain)
         declared[v.name] = v.domain
+    shapes: dict = {}
     for g in spec.gates:
-        scope = (*g.inputs, g.output)
         constraint = ExtensionalConstraint(
             id=g.id,
             label=f"{g.kind}({', '.join(g.inputs)}) -> {g.output}",
-            scope=scope,
+            scope=(*g.inputs, g.output),
             allowed=gate_table(g.kind, len(g.inputs)),
             relaxable=g.relaxable,
         )
-        network.add_constraint(
-            constraint, generate(constraint, {v: declared[v] for v in scope})
-        )
+        network.add_constraint(constraint, _compile(constraint, declared, shapes))
     for t in spec.tables:
         constraint = ExtensionalConstraint(
             id=t.id,
@@ -68,13 +67,30 @@ def build_network(
             allowed=frozenset(t.tuples),
             relaxable=t.relaxable,
         )
-        network.add_constraint(
-            constraint, generate(constraint, {v: declared[v] for v in t.scope})
-        )
+        network.add_constraint(constraint, _compile(constraint, declared, shapes))
     if assert_observations:
         for o in spec.observations:
             assert_observation(network, Observation(o.id, o.variable, o.value))
     return network
+
+
+def _compile(constraint: ExtensionalConstraint, declared: dict, shapes: dict) -> RuleSet:
+    """The rules of ``constraint``, generated once per shape and renamed after.
+
+    A shape is the allowed tuples plus the declared values at each scope
+    position; ``shapes`` maps it to the first scope compiled and its rules.
+    A scope that repeats a variable is compiled on its own, because
+    variable names do not identify its positions.
+    """
+    scope = constraint.scope
+    domains = tuple(declared[v] for v in scope)
+    if len(set(scope)) < len(scope):
+        return generate(constraint, dict(zip(scope, domains)))
+    key = (constraint.allowed, domains)
+    if key not in shapes:
+        shapes[key] = (scope, generate(constraint, dict(zip(scope, domains))))
+    first, ruleset = shapes[key]
+    return rename_rules(ruleset, dict(zip(first, scope)), constraint.id)
 
 
 @dataclass

@@ -11,12 +11,12 @@ import time
 from itertools import permutations
 
 from dyncsp import (
-    ConditionLiteral,
     ExtensionalConstraint,
+    GateDecl,
     Network,
+    NetworkSpec,
     Observation,
-    PropagationRule,
-    RuleSet,
+    VariableDecl,
     assert_observation,
     build_network,
     diagnose,
@@ -30,7 +30,8 @@ from dyncsp import (
     run_script,
     verify_rules,
 )
-from dyncsp import engine
+from dyncsp import engine, runner
+from dyncsp.compiler import rename_rules
 
 from generators import (
     oracle_structures,
@@ -389,20 +390,34 @@ def _inverter_chain(length):
     net.add_variable("V0")
     for i in range(1, length + 1):
         net.add_variable(f"V{i}")
-        cid, names = f"N{i}", {"A": f"V{i - 1}", "B": f"V{i}"}
-        rules = tuple(
-            PropagationRule(
-                f"{cid}.R{rule.index}",
-                cid,
-                rule.index,
-                tuple(ConditionLiteral(names[lit.variable], lit.value) for lit in rule.conditions),
-                tuple((names[var], vals) for var, vals in rule.conclusions),
-            )
-            for rule in template.rules
-        )
-        scope = (names["A"], names["B"])
-        net.add_constraint(ExtensionalConstraint(cid, "not", scope, table), RuleSet(cid, rules))
+        cid, scope = f"N{i}", (f"V{i - 1}", f"V{i}")
+        rules = rename_rules(template, dict(zip(("A", "B"), scope)), cid)
+        net.add_constraint(ExtensionalConstraint(cid, "not", scope, table), rules)
     return net
+
+
+def test_criterion_9_identical_gates_compile_once(monkeypatch):
+    """Building 1000 identical ``and`` gates runs the compiler once."""
+    calls = 0
+    original = runner.generate
+
+    def counted(constraint, declared):
+        nonlocal calls
+        calls += 1
+        return original(constraint, declared)
+
+    monkeypatch.setattr(runner, "generate", counted)
+    names = [f"V{i}" for i in range(2001)]
+    spec = NetworkSpec(
+        variables=tuple(VariableDecl(name, BOOL) for name in names),
+        gates=tuple(
+            GateDecl(f"G{i}", "and", (names[2 * i], names[2 * i + 1]), names[2 * i + 2])
+            for i in range(1000)
+        ),
+    )
+    net = build_network(spec)
+    assert calls == 1
+    assert len(net.rule_index) == 6000
 
 
 def test_criterion_9_chain_work_is_proportional_to_the_change(monkeypatch):

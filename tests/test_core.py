@@ -11,6 +11,8 @@ from dyncsp import (
     Network,
     Observation,
     RuleSet,
+    gate_table,
+    generate,
     is_instantiated,
     mask_value,
     release,
@@ -62,6 +64,31 @@ def test_add_constraint_validates_scope_and_tuples():
     empty = ExtensionalConstraint("C5", "c", ("A", "B"), frozenset())
     with pytest.raises(ValueError):
         net.add_constraint(empty, RuleSet("C5", ()))
+
+
+def test_rejected_rule_set_leaves_no_trace():
+    net = bool_net("A", "B", "C")
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    n2 = ExtensionalConstraint("N2", "not", ("B", "C"), gate_table("not", 1))
+    net.add_constraint(n1, generate(n1, {"A": BOOL_DOMAIN, "B": BOOL_DOMAIN}))
+    rules = generate(n2, {"B": BOOL_DOMAIN, "C": BOOL_DOMAIN}).rules
+
+    def watches():
+        return (
+            {lit: list(entries) for lit, entries in net.rule_watch.items()},
+            {key: list(entries) for key, entries in net.conclusion_watch.items()},
+            list(net.agenda.heap),
+        )
+
+    before = watches()
+    for clash in (net.rules["N1"][0], rules[0]):  # registered already, or twice in the set
+        with pytest.raises(ValueError, match="already registered"):
+            net.add_constraint(n2, RuleSet("N2", rules + (clash,)))
+        assert set(net.constraints) == set(net.rules) == {"N1"}
+        assert set(net.rule_index) == {rule.id for rule in net.rules["N1"]}
+        assert watches() == before
+    net.add_constraint(n2, RuleSet("N2", rules))
+    assert net.rules["N2"] == rules
 
 
 def test_mask_is_counted_per_justification():

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from dyncsp import (
     rule_applicable,
 )
 
-from generators import random_network, random_sequence
-from oracles import BOOL, replay_events
+from generators import oracle_structures, random_network, random_sequence
+from oracles import BOOL, gac_fixpoint, pinned_domains, replay_events
 
 
 def gate_net(*decls):
@@ -220,6 +221,25 @@ def test_retract_releases_pins_and_cancels_dependents():
     assert all(f.status == CANCELLED for f in net.firings.values())
 
 
+def test_retract_cancels_firings_that_only_hide_each_others_values():
+    # A=true gives X=false (C1), B=true (C2), then C3 claims X=false again.
+    # Once M1 goes, only C3's younger firing hides X=true: C2's firing is
+    # unfounded, and with it C3's.
+    net = gate_net(("C1", "not", "A", "X"), ("C2", "not", "X", "B"))
+    net.add_variable("Y")
+    scope = ("B", "X", "Y")
+    rows = frozenset(
+        t for t in product(BOOL, repeat=3) if not (t[0] == "true" and "true" in t[1:])
+    )
+    c3 = ExtensionalConstraint("C3", "C3", scope, rows)
+    net.add_constraint(c3, generate(c3, {v: BOOL for v in scope}))
+    assert_observation(net, Observation("M1", "A", "true"))
+    assert visible(net) == {"A": ("true",), "X": ("false",), "B": ("true",), "Y": ("false",)}
+    assert retract_observation(net, "M1").status == "fixpoint"
+    assert visible(net) == {v: BOOL for v in "AXBY"}
+    assert all(f.status == CANCELLED for f in net.firings.values())
+
+
 def test_retract_clears_a_standing_conflict():
     net = gate_net(("N1", "not", "A", "B"))
     assert_observation(net, Observation("M1", "A", "true"))
@@ -302,6 +322,32 @@ def test_dynamic_sequences_match_a_scratch_rebuild(seed):
         assert visible(net) == visible(fresh)
 
 
+def test_dynamic_sequences_keep_the_arc_consistency_fixpoint():
+    """After every step the visible domains are the oracle's GAC fixpoint of
+    the active gates and pins, or both report an empty domain."""
+    for seed in range(300):
+        spec = random_network(seed, max_vars=10, max_gates=10)
+        domains, constraints = oracle_structures(spec)
+        net = build_network(spec, assert_observations=False)
+        pins, relaxed = {}, set()
+        for step in random_sequence(seed ^ 0xC1C1E, spec, length=30):
+            run_op(net, step)
+            if step[0] == "assert":
+                pins[step[1]] = step[2:]
+            elif step[0] == "retract":
+                del pins[step[1]]
+            elif step[0] == "relax":
+                relaxed.add(step[1])
+            else:
+                relaxed.discard(step[1])
+            active = [body for cid, body in constraints.items() if cid not in relaxed]
+            expected = gac_fixpoint(pinned_domains(domains, pins.values()), active)
+            if all(expected.values()):
+                assert {v: set(vals) for v, vals in visible(net).items()} == expected, (seed, step)
+            else:
+                assert net.first_empty() is not None, (seed, step)
+
+
 def assert_agenda_covers_applicable_rules(net):
     """Every rule that could fire right now is queued on the agenda."""
     for cid, constraint in net.constraints.items():
@@ -361,3 +407,15 @@ def test_propagate_after_diagnose_finds_rules_its_probes_consumed():
     out = retract_observation(net, "M2")
     assert out.status == "fixpoint"
     assert visible(net) == {"X": ("true",), "Y": ("false",), "A": ("true",), "B": ("false",)}
+
+
+def test_diagnose_leaves_the_agenda_as_it_found_it():
+    net = gate_net(("N1", "not", "X", "Y"), ("N2", "not", "A", "B"), ("N3", "not", "B", "C"))
+    assert_observation(net, Observation("M1", "X", "true"))
+    assert assert_observation(net, Observation("M2", "Y", "true")).status == "conflict"
+    assert_observation(net, Observation("M3", "A", "true"))
+    heap, queued = list(net.agenda.heap), set(net.agenda.queued)
+    assert queued  # the conflict froze the rules M3 enables
+    assert [d.constraints for d in diagnose(net, 1)] == [frozenset({"N1"})]
+    assert (net.agenda.heap, net.agenda.queued) == (heap, queued)
+    assert_agenda_covers_applicable_rules(net)

@@ -1,6 +1,22 @@
 import json
+import random
+from collections import Counter
+from itertools import product
 
-from dyncsp import build_network, parse_network, parse_script, run_script
+import pytest
+
+from dyncsp import (
+    ExtensionalConstraint,
+    NetworkSpec,
+    TableDecl,
+    VariableDecl,
+    build_network,
+    generate,
+    parse_network,
+    parse_script,
+    run_script,
+)
+from dyncsp import runner
 
 NETWORK = """\
 var A bool
@@ -163,3 +179,70 @@ def test_build_network_compiles_every_declaration():
     assert net.constraints["N1"].label == "not(A) -> B"
     assert "M1" in net.observations
     assert net.domains["C"].visible() == ("true",)
+
+
+# Declared orders of the same values: a relation over "a" and "b" fits all
+# four, one over "a", "b" and "c" only the last two.
+ORDERS = (("a", "b"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b"))
+
+
+def shared_shape_spec(seed):
+    """Tables reusing three relations over a pool of variables with mixed domains."""
+    rng = random.Random(seed)
+    variables = tuple(VariableDecl(f"V{i}", rng.choice(ORDERS)) for i in range(8))
+    tables = []
+    for r in range(3):
+        arity = rng.randint(2, 3)
+        values = "abc"[: rng.randint(2, 3)]
+        universe = list(product(values, repeat=arity))
+        rows = tuple(rng.sample(universe, rng.randint(1, len(universe))))
+        fits = [v.name for v in variables if set(values) <= set(v.domain)]
+        for k in range(4):
+            if len(fits) >= arity:
+                tables.append(TableDecl(f"T{r}{k}", tuple(rng.sample(fits, arity)), rows))
+    rng.shuffle(tables)
+    return NetworkSpec(variables=variables, tables=tuple(tables))
+
+
+def count_compiles(monkeypatch):
+    """Count the calls ``build_network`` makes to ``generate``, per constraint id."""
+    calls = Counter()
+
+    def counted(constraint, declared):
+        calls[constraint.id] += 1
+        return generate(constraint, declared)
+
+    monkeypatch.setattr(runner, "generate", counted)
+    return calls
+
+
+def test_build_network_rules_equal_a_fresh_compile_of_each_constraint(monkeypatch):
+    calls = count_compiles(monkeypatch)
+    constraints = shapes = 0
+    for seed in range(60):
+        spec = shared_shape_spec(seed)
+        declared = spec.domain_of()
+        net = build_network(spec)
+        shapes += len(
+            {(frozenset(t.tuples), tuple(declared[v] for v in t.scope)) for t in spec.tables}
+        )
+        for t in spec.tables:
+            constraint = ExtensionalConstraint(t.id, "", t.scope, frozenset(t.tuples))
+            expected = generate(constraint, {v: declared[v] for v in t.scope})
+            assert net.rules[t.id] == expected.rules, (seed, t.id)
+            constraints += 1
+    assert sum(calls.values()) == shapes < constraints  # one compile per shape and network
+
+
+def test_a_scope_that_repeats_a_variable_is_compiled_on_its_own(monkeypatch):
+    calls = count_compiles(monkeypatch)
+    spec = NetworkSpec(
+        variables=(VariableDecl("A", ("a", "b")), VariableDecl("B", ("a", "b"))),
+        tables=(
+            TableDecl("T1", ("A", "B"), (("a", "b"), ("b", "b"))),
+            TableDecl("T2", ("A", "A"), (("a", "b"), ("b", "b"))),
+        ),
+    )
+    with pytest.raises(ValueError, match="repeats a scope variable"):
+        build_network(spec)
+    assert calls == {"T1": 1, "T2": 1}  # T2 has T1's shape but was not renamed from it

@@ -4,58 +4,29 @@ Extensional constraints are compiled into minimal ground rules, forward
 chained under a full justification trace, and can be relaxed or restored
 incrementally. Inconsistent networks are explained by conflict sets and
 repaired by minimal diagnoses.
+
+The package root exports the documented API; internals such as
+``mask_value``, ``fire_rule`` or ``closure`` live in their modules.
 """
 
-from .compiler import (
-    CriterionResult,
-    VerificationReport,
-    closure,
-    dump_rules,
-    format_rule,
-    generate,
-    projection,
-    verify_rules,
-)
-from .core import (
-    ACTIVE,
-    BOOL_DOMAIN,
-    CANCELLED,
-    ChangeRecord,
-    ConditionLiteral,
-    ExtensionalConstraint,
-    FiniteDomain,
-    Firing,
-    Network,
-    Observation,
-    PropagationRule,
-    RuleSet,
-    is_instantiated,
-    mask_value,
-    release,
-    restrict,
-    visible_values,
-)
-from .diagnosis import Diagnosis, check_consistent, diagnose
-from .dynamics import cancel_firing, relax, restore, retract_observation
+from .compiler import dump_rules, generate, verify_rules
+from .core import BOOL_DOMAIN, ExtensionalConstraint, Network, Observation
+from .diagnosis import Diagnosis, diagnose
+from .dynamics import relax, restore, retract_observation
 from .engine import (
     ConflictSet,
     PropagationOutcome,
     assert_observation,
-    condition_holds,
     extract_conflict,
-    fire_rule,
     propagate,
-    rule_applicable,
 )
 from .gates import GATES, gate_table
 from .runner import Report, build_network, run_script
 from .textio import (
-    Command,
     GateDecl,
     NetworkSpec,
     ObservationDecl,
     ParseError,
-    Script,
     TableDecl,
     VariableDecl,
     parse_network,
@@ -64,60 +35,35 @@ from .textio import (
 )
 
 __all__ = [
-    "ACTIVE",
     "BOOL_DOMAIN",
-    "CANCELLED",
     "GATES",
-    "ChangeRecord",
-    "Command",
-    "ConditionLiteral",
-    "ConflictSet",
-    "CriterionResult",
-    "Diagnosis",
-    "ExtensionalConstraint",
-    "FiniteDomain",
-    "Firing",
-    "GateDecl",
+    "gate_table",
     "Network",
-    "NetworkSpec",
+    "ExtensionalConstraint",
     "Observation",
+    "NetworkSpec",
+    "VariableDecl",
+    "GateDecl",
+    "TableDecl",
     "ObservationDecl",
     "ParseError",
-    "PropagationOutcome",
-    "PropagationRule",
-    "Report",
-    "RuleSet",
-    "Script",
-    "TableDecl",
-    "VariableDecl",
-    "VerificationReport",
-    "assert_observation",
-    "build_network",
-    "cancel_firing",
-    "check_consistent",
-    "closure",
-    "condition_holds",
-    "diagnose",
-    "dump_rules",
-    "extract_conflict",
-    "fire_rule",
-    "format_rule",
-    "gate_table",
-    "generate",
-    "is_instantiated",
-    "mask_value",
     "parse_network",
     "parse_script",
-    "projection",
-    "propagate",
-    "relax",
-    "release",
-    "restore",
-    "restrict",
-    "retract_observation",
-    "rule_applicable",
-    "run_script",
     "serialize_network",
+    "build_network",
+    "run_script",
+    "Report",
+    "generate",
     "verify_rules",
-    "visible_values",
+    "dump_rules",
+    "assert_observation",
+    "retract_observation",
+    "relax",
+    "restore",
+    "propagate",
+    "extract_conflict",
+    "diagnose",
+    "Diagnosis",
+    "ConflictSet",
+    "PropagationOutcome",
 ]

@@ -71,13 +71,7 @@ def closure(
     The result is order independent because every rule application is an
     intersection; the sweep repeats until no rule shrinks anything.
     """
-    doms = _pinned(start, declared)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if _fire_in_place(rule, doms):
-                changed = True
+    doms = _chain(rules, _pinned(start, declared))
     return {var: frozenset(vals) for var, vals in doms.items()}
 
 
@@ -90,58 +84,37 @@ def _pinned(start: dict[VariableId, Value], declared: DomainMap) -> dict[Variabl
     return doms
 
 
-def _holds(rule: PropagationRule, doms: dict[VariableId, set[Value]]) -> bool:
-    return all(doms[lit.variable] == {lit.value} for lit in rule.conditions)
+def _chain(
+    rules: tuple[PropagationRule, ...] | list[PropagationRule],
+    doms: dict[VariableId, set[Value]],
+    *,
+    first_only: bool = False,
+    removed_by: dict[tuple[VariableId, Value], str] | None = None,
+) -> dict[VariableId, set[Value]]:
+    """Fire ``rules`` on ``doms`` in place, sweeping until none shrinks anything.
 
-
-def _shrinks(rule: PropagationRule, doms: dict[VariableId, set[Value]]) -> bool:
-    return any(doms[var] - set(vals) for var, vals in rule.conclusions)
-
-
-def _fire_in_place(rule: PropagationRule, doms: dict[VariableId, set[Value]]) -> bool:
-    if not _holds(rule, doms) or not _shrinks(rule, doms):
-        return False
-    for var, vals in rule.conclusions:
-        doms[var] &= set(vals)
-    return True
-
-
-def _closure_ordered(
-    rules: list[PropagationRule],
-    order: list[int],
-    start: dict[VariableId, Value],
-    declared: DomainMap,
-) -> dict[VariableId, frozenset[Value]]:
-    """Fixpoint where each step fires the first applicable rule in ``order``."""
-    doms = _pinned(start, declared)
-    while True:
-        for idx in order:
-            if _fire_in_place(rules[idx], doms):
-                break
-        else:
-            return {var: frozenset(vals) for var, vals in doms.items()}
-
-
-def _closure_attributed(
-    rules: list[PropagationRule],
-    start: dict[VariableId, Value],
-    declared: DomainMap,
-) -> tuple[dict[VariableId, frozenset[Value]], dict[tuple[VariableId, Value], str]]:
-    """Like :func:`closure` but records which rule first removed each value."""
-    doms = _pinned(start, declared)
-    removed_by: dict[tuple[VariableId, Value], str] = {}
+    A rule fires when every condition variable is pinned to its condition
+    value and some conclusion removes a value. With ``first_only`` every
+    firing restarts the sweep at the first rule, so ``rules`` is a firing
+    priority. ``removed_by`` records the first rule that removed each value.
+    """
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            if not _holds(rule, doms) or not _shrinks(rule, doms):
+            if not all(doms[var] == {value} for var, value in rule.conditions):
                 continue
             for var, vals in rule.conclusions:
-                for gone in doms[var] - set(vals):
-                    removed_by.setdefault((var, gone), rule.id)
-                doms[var] &= set(vals)
-            changed = True
-    return {var: frozenset(vals) for var, vals in doms.items()}, removed_by
+                gone = doms[var].difference(vals)
+                if gone:
+                    doms[var] -= gone
+                    changed = True
+                    if removed_by is not None:
+                        for value in gone:
+                            removed_by.setdefault((var, value), rule.id)
+            if changed and first_only:
+                break
+    return doms
 
 
 def _candidate_assignments(
@@ -368,7 +341,8 @@ def _check_exactness(rules, constraint, declared, consistent) -> CriterionResult
 def _check_soundness(rules, constraint, declared, consistent) -> CriterionResult:
     pos = {var: i for i, var in enumerate(constraint.scope)}
     for assignment in consistent:
-        result, removed_by = _closure_attributed(rules, assignment, declared)
+        removed_by: dict[tuple[VariableId, Value], str] = {}
+        result = _chain(rules, _pinned(assignment, declared), removed_by=removed_by)
         for support in supporting_tuples(constraint, assignment):
             for var in constraint.scope:
                 value = support[pos[var]]
@@ -388,19 +362,18 @@ def _check_soundness(rules, constraint, declared, consistent) -> CriterionResult
 
 def _check_confluence(rules, declared, consistent, orders, seed) -> CriterionResult:
     rng = random.Random(seed)
-    identity = list(range(len(rules)))
     for assignment in consistent:
-        reference = _closure_ordered(rules, identity, assignment, declared)
+        reference = _chain(rules, _pinned(assignment, declared), first_only=True)
         for _ in range(orders):
-            order = rng.sample(identity, len(identity))
-            result = _closure_ordered(rules, order, assignment, declared)
+            order = rng.sample(rules, len(rules))
+            result = _chain(order, _pinned(assignment, declared), first_only=True)
             if result != reference:
                 diff = next(var for var in reference if reference[var] != result[var])
                 return CriterionResult(
                     False,
                     {
                         "start": dict(assignment),
-                        "order": [rules[i].id for i in order],
+                        "order": [rule.id for rule in order],
                         "variable": diff,
                         "expected": sorted(reference[diff]),
                         "actual": sorted(result[diff]),

@@ -295,9 +295,11 @@ class Network:
                         f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
                     )
         seen: set[RuleId] = set()
-        for rule in ruleset.rules:
+        for position, rule in enumerate(ruleset.rules, start=1):
             if rule.id in self.rule_index or rule.id in seen:
                 raise ValueError(f"rule id {rule.id!r} already registered")
+            if rule.index != position:
+                raise ValueError(f"rule {rule.id!r} has index {rule.index}, not {position}")
             seen.add(rule.id)
             used = {lit.variable for lit in rule.conditions} | {var for var, _ in rule.conclusions}
             if not used <= self.domains.keys():
@@ -471,38 +473,3 @@ def is_instantiated(network: Network, variable: VariableId, value: Value) -> boo
     dom = network.domain(variable)
     return dom.visible_count() == 1 and dom.is_visible(value)
 
-
-def visible_values(network: Network, variable: VariableId) -> tuple[Value, ...]:
-    return network.domain(variable).visible()
-
-
-def apply_observation_masks(network: Network, observation: Observation) -> ChangeRecord:
-    """Pin a variable: mask every declared value other than the observed one.
-
-    Masks are added even to values other causes already hide, so the pin
-    stays in force if those causes are later cancelled.
-    """
-    dom = network.domain(observation.variable)
-    if observation.value not in dom.declared:
-        raise ValueError(
-            f"value {observation.value!r} is outside the domain of {observation.variable!r}"
-        )
-    record = ChangeRecord()
-    for value in dom.declared:
-        if value != observation.value:
-            if mask_value(network, observation.variable, value, observation.id):
-                record.masked.append((observation.variable, value))
-    if record.masked and dom.visible_count() == 0:
-        record.emptied = observation.variable
-    return record
-
-
-def release_observation_masks(network: Network, observation: Observation) -> ChangeRecord:
-    """Remove the justifications added by :func:`apply_observation_masks`."""
-    dom = network.domain(observation.variable)
-    record = ChangeRecord()
-    for value in dom.declared:
-        if value != observation.value:
-            if release(network, observation.variable, value, observation.id):
-                record.released.append((observation.variable, value))
-    return record

@@ -24,7 +24,6 @@ from .core import (
     Value,
     VariableId,
     release,
-    release_observation_masks,
 )
 from .engine import PropagationOutcome, propagate
 
@@ -135,14 +134,12 @@ def retract_observation(network: Network, observation_id: ObservationId) -> Prop
         raise ValueError(f"observation {observation_id!r} is already retracted")
     observation.active = False
     network.events.append(("retract", observation_id))
-    release_observation_masks(network, observation)
     var = observation.variable
-    unfounded = [
-        fid
-        for value in network.domains[var].declared
-        if value != observation.value
-        for fid in _unfounded_watchers(network, var, value)
-    ]
+    unfounded: list[FiringId] = []
+    for value in network.domains[var].declared:
+        if value != observation.value:
+            release(network, var, value, observation_id)
+            unfounded.extend(_unfounded_watchers(network, var, value))
     for fid in unfounded:
         cancel_firing(network, fid)
     return propagate(network)

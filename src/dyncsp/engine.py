@@ -25,10 +25,9 @@ from .core import (
     Observation,
     ObservationId,
     PropagationRule,
-    Value,
     VariableId,
-    apply_observation_masks,
     cause_key,
+    is_instantiated,
     restrict,
 )
 
@@ -50,13 +49,7 @@ class PropagationOutcome:
 
     status: str
     fired: list[FiringId] = field(default_factory=list)
-    changed: list[tuple[VariableId, Value]] = field(default_factory=list)
     conflict: tuple[VariableId, ConflictSet] | None = None
-
-
-def condition_holds(network: Network, lit: ConditionLiteral) -> bool:
-    dom = network.domain(lit.variable)
-    return dom.visible_count() == 1 and dom.is_visible(lit.value)
 
 
 def _would_shrink(network: Network, rule: PropagationRule) -> bool:
@@ -73,7 +66,7 @@ def rule_applicable(network: Network, rule: PropagationRule) -> bool:
         return False
     if rule.id in network.active_firing:
         return False
-    if not all(condition_holds(network, lit) for lit in rule.conditions):
+    if not all(is_instantiated(network, lit.variable, lit.value) for lit in rule.conditions):
         return False
     return _would_shrink(network, rule)
 
@@ -99,7 +92,7 @@ def fire_rule(network: Network, rule: PropagationRule) -> ChangeRecord:
     if rule.id in network.active_firing:
         raise ValueError(f"rule {rule.id!r} already has an active firing")
     for lit in rule.conditions:
-        if not condition_holds(network, lit):
+        if not is_instantiated(network, lit.variable, lit.value):
             raise ValueError(f"condition {lit.variable}={lit.value} of {rule.id!r} does not hold")
     if not _would_shrink(network, rule):
         return ChangeRecord()
@@ -169,14 +162,9 @@ def extract_conflict(network: Network, variable: VariableId) -> ConflictSet:
 
 
 def _conflict_outcome(
-    network: Network,
-    variable: VariableId,
-    fired: list[FiringId],
-    changed: list[tuple[VariableId, Value]],
+    network: Network, variable: VariableId, fired: list[FiringId]
 ) -> PropagationOutcome:
-    return PropagationOutcome(
-        CONFLICT, fired, changed, (variable, extract_conflict(network, variable))
-    )
+    return PropagationOutcome(CONFLICT, fired, (variable, extract_conflict(network, variable)))
 
 
 def propagate(network: Network) -> PropagationOutcome:
@@ -194,10 +182,9 @@ def propagate(network: Network) -> PropagationOutcome:
     """
     standing = network.first_empty()
     if standing is not None:
-        return _conflict_outcome(network, standing, [], [])
+        return _conflict_outcome(network, standing, [])
     agenda = network.agenda
     fired: list[FiringId] = []
-    changed: list[tuple[VariableId, Value]] = []
     exhausted: set[ConstraintId] = set()
     held: list[AgendaEntry] = []
     try:
@@ -213,12 +200,11 @@ def propagate(network: Network) -> PropagationOutcome:
                 continue
             record = fire_rule(network, rule)
             fired.append(network.active_firing[rule.id])
-            changed.extend(record.masked)
             if network.short_circuit:
                 exhausted.add(cid)
             if record.emptied is not None:
-                return _conflict_outcome(network, record.emptied, fired, changed)
-        return PropagationOutcome(FIXPOINT, fired, changed, None)
+                return _conflict_outcome(network, record.emptied, fired)
+        return PropagationOutcome(FIXPOINT, fired)
     finally:
         agenda.push(held)
 
@@ -226,19 +212,22 @@ def propagate(network: Network) -> PropagationOutcome:
 def assert_observation(network: Network, observation: Observation) -> PropagationOutcome:
     """Register an observation, pin its variable, and propagate.
 
-    A pin that contradicts the current domain is itself the conflict; it
-    is reported, not raised, and names every justification involved.
+    The pin masks every other declared value, even values other causes
+    already hide, so it stays in force if those causes are withdrawn. A pin
+    that contradicts the current domain is itself the conflict; it is
+    reported, not raised, and names every justification involved. A
+    rejected observation raises ``ValueError`` and leaves the network as it
+    was.
     """
-    if observation.id in network.observations:
-        raise ValueError(f"observation id {observation.id!r} already used")
-    network.observations[observation.id] = observation
-    network.events.append(
-        ("observe", observation.id, observation.variable, observation.value)
-    )
-    record = apply_observation_masks(network, observation)
+    oid, variable, value = observation.id, observation.variable, observation.value
+    if oid in network.observations:
+        raise ValueError(f"observation id {oid!r} already used")
+    if value not in network.domain(variable).declared:
+        raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
+    network.observations[oid] = observation
+    network.events.append(("observe", oid, variable, value))
+    restrict(network, variable, (value,), oid, claim_masked=True)
     standing = network.first_empty()
     if standing is not None:
-        return _conflict_outcome(network, standing, [], list(record.masked))
-    outcome = propagate(network)
-    outcome.changed = list(record.masked) + outcome.changed
-    return outcome
+        return _conflict_outcome(network, standing, [])
+    return propagate(network)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .compiler import dump_rules, generate, rename_rules
-from .core import ExtensionalConstraint, Network, Observation, RuleSet
+from .core import ExtensionalConstraint, Network, Observation
 from .diagnosis import diagnose
 from .dynamics import relax, restore, retract_observation
 from .engine import (
@@ -38,10 +38,14 @@ def build_network(
 ) -> Network:
     """Compile every declared constraint into a ready-to-run network.
 
-    Constraints of one shape are compiled once per call (see
-    :func:`_compile`). With ``assert_observations`` the observations
-    declared in ``spec`` are asserted (and propagated) in declaration
-    order. A ``seed`` switches propagation to randomized rule selection.
+    Gates and tables take one path: each is an extensional constraint,
+    and constraints of one shape (the allowed tuples plus the declared
+    values at each scope position) are compiled once per call and renamed
+    after. A scope that repeats a variable is compiled on its own, because
+    variable names do not identify its positions. With
+    ``assert_observations`` the observations declared in ``spec`` are
+    asserted (and propagated) in declaration order. A ``seed`` switches
+    propagation to randomized rule selection.
     """
     rng = random.Random(seed) if seed is not None else None
     network = Network(short_circuit=short_circuit, rng=rng)
@@ -49,48 +53,46 @@ def build_network(
     for v in spec.variables:
         network.add_variable(v.name, v.domain)
         declared[v.name] = v.domain
-    shapes: dict = {}
-    for g in spec.gates:
-        constraint = ExtensionalConstraint(
-            id=g.id,
-            label=f"{g.kind}({', '.join(g.inputs)}) -> {g.output}",
-            scope=(*g.inputs, g.output),
-            allowed=gate_table(g.kind, len(g.inputs)),
-            relaxable=g.relaxable,
-        )
-        network.add_constraint(constraint, _compile(constraint, declared, shapes))
-    for t in spec.tables:
-        constraint = ExtensionalConstraint(
-            id=t.id,
-            label=f"table({', '.join(t.scope)})",
-            scope=t.scope,
-            allowed=frozenset(t.tuples),
-            relaxable=t.relaxable,
-        )
-        network.add_constraint(constraint, _compile(constraint, declared, shapes))
+    shapes: dict = {}  # shape -> (first scope compiled, its rules)
+    for constraint in _constraints(spec):
+        scope = constraint.scope
+        domains = tuple(declared[v] for v in scope)
+        if len(set(scope)) < len(scope):
+            ruleset = generate(constraint, dict(zip(scope, domains)))
+        else:
+            key = (constraint.allowed, domains)
+            if key not in shapes:
+                shapes[key] = (scope, generate(constraint, dict(zip(scope, domains))))
+            first, rules = shapes[key]
+            ruleset = rename_rules(rules, dict(zip(first, scope)), constraint.id)
+        network.add_constraint(constraint, ruleset)
     if assert_observations:
         for o in spec.observations:
             assert_observation(network, Observation(o.id, o.variable, o.value))
     return network
 
 
-def _compile(constraint: ExtensionalConstraint, declared: dict, shapes: dict) -> RuleSet:
-    """The rules of ``constraint``, generated once per shape and renamed after.
+def _constraints(spec: NetworkSpec):
+    """Every declared constraint as an allowed-tuple table, gates first.
 
-    A shape is the allowed tuples plus the declared values at each scope
-    position; ``shapes`` maps it to the first scope compiled and its rules.
-    A scope that repeats a variable is compiled on its own, because
-    variable names do not identify its positions.
+    A gate is its truth table over ``(*inputs, output)``.
     """
-    scope = constraint.scope
-    domains = tuple(declared[v] for v in scope)
-    if len(set(scope)) < len(scope):
-        return generate(constraint, dict(zip(scope, domains)))
-    key = (constraint.allowed, domains)
-    if key not in shapes:
-        shapes[key] = (scope, generate(constraint, dict(zip(scope, domains))))
-    first, ruleset = shapes[key]
-    return rename_rules(ruleset, dict(zip(first, scope)), constraint.id)
+    for g in spec.gates:
+        yield ExtensionalConstraint(
+            id=g.id,
+            label=f"{g.kind}({', '.join(g.inputs)}) -> {g.output}",
+            scope=(*g.inputs, g.output),
+            allowed=gate_table(g.kind, len(g.inputs)),
+            relaxable=g.relaxable,
+        )
+    for t in spec.tables:
+        yield ExtensionalConstraint(
+            id=t.id,
+            label=f"table({', '.join(t.scope)})",
+            scope=t.scope,
+            allowed=frozenset(t.tuples),
+            relaxable=t.relaxable,
+        )
 
 
 @dataclass

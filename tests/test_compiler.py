@@ -4,18 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncsp import (
-    ConditionLiteral,
-    ExtensionalConstraint,
-    PropagationRule,
-    closure,
-    dump_rules,
-    format_rule,
-    gate_table,
-    generate,
-    projection,
-    verify_rules,
-)
+from dyncsp import ExtensionalConstraint, dump_rules, gate_table, generate, verify_rules
+from dyncsp.compiler import closure, format_rule, projection
+from dyncsp.core import ConditionLiteral, PropagationRule
 
 from generators import random_table
 from oracles import BOOL, brute_projection

@@ -1,25 +1,13 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncsp import (
-    BOOL_DOMAIN,
-    ExtensionalConstraint,
-    Network,
-    Observation,
-    RuleSet,
-    gate_table,
-    generate,
-    is_instantiated,
-    mask_value,
-    release,
-    restrict,
-    visible_values,
-)
-from dyncsp.core import apply_observation_masks, release_observation_masks
+from dyncsp import BOOL_DOMAIN, ExtensionalConstraint, Network, gate_table, generate
+from dyncsp.core import RuleSet, is_instantiated, mask_value, release, restrict
 
 
 def bool_net(*names):
@@ -91,6 +79,20 @@ def test_rejected_rule_set_leaves_no_trace():
     assert net.rules["N2"] == rules
 
 
+def test_rule_indices_must_follow_their_positions():
+    net = bool_net("A", "B")
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    rules = generate(n1, {"A": BOOL_DOMAIN, "B": BOOL_DOMAIN}).rules
+    shifted = tuple(replace(rule, index=rule.index + 1) for rule in rules)
+    with pytest.raises(ValueError, match="has index 2, not 1"):
+        net.add_constraint(n1, RuleSet("N1", shifted))
+    assert net.constraints == net.rules == net.rule_index == {}
+    assert net.rule_watch == net.conclusion_watch == {}
+    assert len(net.agenda) == 0
+    net.add_constraint(n1, RuleSet("N1", rules))
+    assert net.rules["N1"] == rules
+
+
 def test_mask_is_counted_per_justification():
     net = bool_net("A")
     assert mask_value(net, "A", "true", "M1") is True
@@ -100,7 +102,7 @@ def test_mask_is_counted_per_justification():
     assert release(net, "A", "true", "M1") is False
     assert release(net, "A", "true", "M2") is False
     assert release(net, "A", "true", "M1") is True
-    assert visible_values(net, "A") == ("false", "true")
+    assert net.domain("A").visible() == ("false", "true")
 
 
 def test_release_without_matching_justification_raises():
@@ -157,15 +159,14 @@ def test_restrict_rejects_foreign_values():
 def test_observation_pin_masks_even_masked_values():
     net = bool_net("A")
     mask_value(net, "A", "false", 9)
-    obs = Observation("M1", "A", "true")
-    record = apply_observation_masks(net, obs)
+    record = restrict(net, "A", ("true",), "M1", claim_masked=True)
     assert record.masked == []
     assert net.domains["A"].mask["false"] == Counter({9: 1, "M1": 1})
     release(net, "A", "false", 9)
     # the pin keeps holding the value hidden
-    assert visible_values(net, "A") == ("true",)
-    release_observation_masks(net, obs)
-    assert visible_values(net, "A") == ("false", "true")
+    assert net.domain("A").visible() == ("true",)
+    release(net, "A", "false", "M1")
+    assert net.domain("A").visible() == ("false", "true")
 
 
 def test_is_instantiated():
@@ -187,8 +188,8 @@ def test_snapshot_rollback_restores_everything():
     net.constraints = {}
     events_before = len(net.events)
     net.rollback(snap)
-    assert visible_values(net, "A") == ("false",)
-    assert visible_values(net, "B") == ("false", "true")
+    assert net.domain("A").visible() == ("false",)
+    assert net.domain("B").visible() == ("false", "true")
     assert net.empty_order == []
     assert len(net.events) < events_before
     assert net.domains["A"].mask["true"] == Counter({"M1": 1})

@@ -7,12 +7,12 @@ from dyncsp import (
     Observation,
     assert_observation,
     build_network,
-    check_consistent,
     diagnose,
     gate_table,
     generate,
     run_script,
 )
+from dyncsp.diagnosis import check_consistent
 
 from generators import oracle_structures, random_network, random_observations
 from oracles import BOOL, minimal_restoring_sets, oracle_consistent

@@ -6,22 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncsp import (
-    ACTIVE,
-    CANCELLED,
     ExtensionalConstraint,
     Network,
     Observation,
     assert_observation,
     build_network,
-    cancel_firing,
     diagnose,
     gate_table,
     generate,
     relax,
     restore,
     retract_observation,
-    rule_applicable,
 )
+from dyncsp.core import ACTIVE, CANCELLED
+from dyncsp.dynamics import cancel_firing
+from dyncsp.engine import rule_applicable
 
 from generators import oracle_structures, random_network, random_sequence
 from oracles import BOOL, gac_fixpoint, pinned_domains, replay_events

@@ -8,15 +8,13 @@ from dyncsp import (
     Observation,
     assert_observation,
     build_network,
-    condition_holds,
     extract_conflict,
-    fire_rule,
     gate_table,
     generate,
     propagate,
-    rule_applicable,
 )
-from dyncsp.core import ConditionLiteral
+from dyncsp.core import ConditionLiteral, is_instantiated
+from dyncsp.engine import fire_rule, rule_applicable
 
 from generators import oracle_structures, random_network, random_observations
 from oracles import BOOL, gac_fixpoint, pinned_domains, replay_events
@@ -83,7 +81,8 @@ def test_fire_rule_without_shrink_leaves_no_trace():
     assert_observation(net, Observation("M2", "Y", "true"))
     # N1 already emptied C of "true"; the parallel N2 rule has nothing left
     rule = net.rule("N2.R2")
-    assert condition_holds(net, rule.conditions[0])
+    (lit,) = rule.conditions
+    assert is_instantiated(net, lit.variable, lit.value)
     assert not rule_applicable(net, rule)
     events = len(net.events)
     record = fire_rule(net, rule)
@@ -168,6 +167,19 @@ def test_duplicate_observation_id_raises():
     assert_observation(net, Observation("M1", "E1", "false"))
     with pytest.raises(ValueError):
         assert_observation(net, Observation("M1", "E2", "false"))
+
+
+def test_rejected_observation_leaves_no_trace():
+    net = circuit0_net()
+    observations, events = dict(net.observations), list(net.events)
+    for bad, match in ((("A", "true"), "unknown variable"), (("E1", "maybe"), "outside")):
+        with pytest.raises(ValueError, match=match):
+            assert_observation(net, Observation("M1", *bad))
+        assert net.observations == observations
+        assert net.events == events
+    out = assert_observation(net, Observation("M1", "E1", "false"))
+    assert out.status == "fixpoint"
+    assert net.observations["M1"].value == "false"
 
 
 def test_contradicting_observations_conflict_without_rules():

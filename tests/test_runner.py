@@ -6,11 +6,14 @@ from itertools import product
 import pytest
 
 from dyncsp import (
+    BOOL_DOMAIN,
     ExtensionalConstraint,
+    GateDecl,
     NetworkSpec,
     TableDecl,
     VariableDecl,
     build_network,
+    gate_table,
     generate,
     parse_network,
     parse_script,
@@ -246,3 +249,26 @@ def test_a_scope_that_repeats_a_variable_is_compiled_on_its_own(monkeypatch):
     with pytest.raises(ValueError, match="repeats a scope variable"):
         build_network(spec)
     assert calls == {"T1": 1, "T2": 1}  # T2 has T1's shape but was not renamed from it
+
+
+def test_a_gate_and_a_table_of_its_truth_table_share_one_compile(monkeypatch):
+    calls = count_compiles(monkeypatch)
+    spec = NetworkSpec(
+        variables=tuple(VariableDecl(name, BOOL_DOMAIN) for name in "ABCDEF"),
+        gates=(GateDecl("G1", "and", ("A", "B"), "C"),),
+        tables=(TableDecl("T1", ("D", "E", "F"), tuple(sorted(gate_table("and", 2)))),),
+    )
+    net = build_network(spec)
+    assert calls == {"G1": 1}
+    assert net.constraints["G1"].label == "and(A, B) -> C"
+    assert net.constraints["T1"].label == "table(D, E, F)"
+    renamed = dict(zip("ABC", "DEF"))
+    assert len(net.rules["T1"]) == len(net.rules["G1"]) == 6
+    for gate_rule, table_rule in zip(net.rules["G1"], net.rules["T1"]):
+        assert table_rule.id == f"T1.R{gate_rule.index}"
+        assert table_rule.conditions == tuple(
+            (renamed[var], value) for var, value in gate_rule.conditions
+        )
+        assert table_rule.conclusions == tuple(
+            (renamed[var], vals) for var, vals in gate_rule.conclusions
+        )

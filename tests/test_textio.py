@@ -1,7 +1,6 @@
 import pytest
 
 from dyncsp import (
-    Command,
     GateDecl,
     NetworkSpec,
     ObservationDecl,
@@ -12,6 +11,7 @@ from dyncsp import (
     parse_script,
     serialize_network,
 )
+from dyncsp.textio import Command
 
 NETWORK = """\
 # a small mixed network

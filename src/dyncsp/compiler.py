@@ -11,6 +11,11 @@ criteria: the chained fixpoint from every consistent partial assignment
 equals the exact projections (cr1), no rule ever removes a supported
 value (cr2), the fixpoint is independent of firing order (cr3), and no
 rule is redundant (cr4). Failures carry concrete witnesses.
+
+Both chain rules on a bit layout: one int holds every domain, with one
+bit per (variable, declared value), and each rule is packed once per
+``generate`` or ``verify_rules`` call into masks, so a condition test, a
+firing and a shrink test are each one or two integer operations.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .core import (
 )
 
 DomainMap = dict[VariableId, tuple[Value, ...]]
+# (condition field mask, condition bits, keep mask, rule); see _Layout
+_Packed = tuple[int, int, int, PropagationRule]
 
 
 def supporting_tuples(
@@ -68,53 +75,109 @@ def closure(
 ) -> dict[VariableId, frozenset[Value]]:
     """Fixpoint of chaining ``rules`` from ``start`` over fresh domains.
 
-    The result is order independent because every rule application is an
-    intersection; the sweep repeats until no rule shrinks anything.
+    Sweeps fire the rules in list order until no rule shrinks anything.
+    Every rule application is an intersection, so the result is order
+    independent while no domain empties; an emptied domain satisfies no
+    condition, so once one empties the sweep order decides the rest.
     """
-    doms = _chain(rules, _pinned(start, declared))
-    return {var: frozenset(vals) for var, vals in doms.items()}
+    layout = _Layout(declared)
+    state = _chain(layout.pack(rules), layout.pin(start))
+    return {var: layout.values(state, var) for var in declared}
 
 
-def _pinned(start: dict[VariableId, Value], declared: DomainMap) -> dict[VariableId, set[Value]]:
-    doms = {var: set(vals) for var, vals in declared.items()}
-    for var, value in start.items():
-        if value not in doms.get(var, ()):
-            raise ValueError(f"start value {var}={value} is outside the declared domain")
-        doms[var] = {value}
-    return doms
+class _Layout:
+    """One bit per (variable, declared value), so one int holds every domain.
+
+    A bit is set while its value is still possible. A variable's field is
+    the mask of its bits. A rule packs into ``(cm, cb, keep, rule)``: it
+    fires on ``state`` when ``state & cm == cb``, that is when each
+    condition variable keeps exactly its condition value, and a firing
+    leaves ``state & keep``.
+    """
+
+    def __init__(self, declared: DomainMap):
+        self.declared = declared
+        self.bits: dict[tuple[VariableId, Value], int] = {}
+        for var, vals in declared.items():
+            for value in vals:
+                self.bits.setdefault((var, value), 1 << len(self.bits))
+        self.fields = dict.fromkeys(declared, 0)
+        for (var, _), bit in self.bits.items():
+            self.fields[var] |= bit
+        self.full = (1 << len(self.bits)) - 1
+
+    def pin(self, start: dict[VariableId, Value]) -> int:
+        state = self.full
+        for var, value in start.items():
+            bit = self.bits.get((var, value))
+            if bit is None:
+                raise ValueError(f"start value {var}={value} is outside the declared domain")
+            state &= ~self.fields[var] | bit
+        return state
+
+    def keep(self, conclusions) -> int:
+        """Mask of what survives ``conclusions``; values outside the domains drop out."""
+        keep = self.full
+        for var, vals in conclusions:
+            allowed = 0
+            for value in vals:
+                allowed |= self.bits.get((var, value), 0)
+            keep &= ~self.fields[var] | allowed
+        return keep
+
+    def pack(self, rules) -> list[_Packed]:
+        packed = []
+        for rule in rules:
+            used = {lit.variable for lit in rule.conditions} | {var for var, _ in rule.conclusions}
+            if not used <= self.fields.keys():
+                raise ValueError(f"rule {rule.id!r} uses an undeclared variable")
+            cm = cb = 0
+            for var, value in rule.conditions:
+                bit = self.bits.get((var, value), 0)
+                if not bit or cb & self.fields[var] & ~bit:
+                    # outside the domain, or a second value for one variable:
+                    # no state has cm == 0 and cb == 1, so the rule never fires
+                    cm, cb = 0, 1
+                    break
+                cm |= self.fields[var]
+                cb |= bit
+            packed.append((cm, cb, self.keep(rule.conclusions), rule))
+        return packed
+
+    def values(self, state: int, var: VariableId) -> frozenset[Value]:
+        return frozenset(v for v in self.declared[var] if state & self.bits[(var, v)])
 
 
 def _chain(
-    rules: tuple[PropagationRule, ...] | list[PropagationRule],
-    doms: dict[VariableId, set[Value]],
+    packed: list[_Packed],
+    state: int,
     *,
     first_only: bool = False,
-    removed_by: dict[tuple[VariableId, Value], str] | None = None,
-) -> dict[VariableId, set[Value]]:
-    """Fire ``rules`` on ``doms`` in place, sweeping until none shrinks anything.
+    removed_by: dict[int, str] | None = None,
+) -> int:
+    """Fire ``packed`` rules on ``state``, sweeping until none shrinks anything.
 
-    A rule fires when every condition variable is pinned to its condition
-    value and some conclusion removes a value. With ``first_only`` every
-    firing restarts the sweep at the first rule, so ``rules`` is a firing
-    priority. ``removed_by`` records the first rule that removed each value.
+    With ``first_only`` every firing restarts the sweep at the first rule,
+    so ``packed`` is a firing priority. ``removed_by`` maps the bit of each
+    removed value to the id of the rule that removed it.
     """
     changed = True
     while changed:
         changed = False
-        for rule in rules:
-            if not all(doms[var] == {value} for var, value in rule.conditions):
+        for cm, cb, keep, rule in packed:
+            if state & cm != cb or state & keep == state:
                 continue
-            for var, vals in rule.conclusions:
-                gone = doms[var].difference(vals)
-                if gone:
-                    doms[var] -= gone
-                    changed = True
-                    if removed_by is not None:
-                        for value in gone:
-                            removed_by.setdefault((var, value), rule.id)
-            if changed and first_only:
+            if removed_by is not None:
+                gone = state & ~keep
+                while gone:
+                    bit = gone & -gone
+                    removed_by[bit] = rule.id
+                    gone ^= bit
+            state &= keep
+            changed = True
+            if first_only:
                 break
-    return doms
+    return state
 
 
 def _candidate_assignments(
@@ -159,14 +222,9 @@ def _proper_projections(
     return tuple(entries)
 
 
-def _establishes(
-    rules: list[PropagationRule],
-    start: dict[VariableId, Value],
-    conclusions: tuple[tuple[VariableId, tuple[Value, ...]], ...],
-    declared: DomainMap,
-) -> bool:
-    result = closure(rules, start, declared)
-    return all(result[var] <= frozenset(vals) for var, vals in conclusions)
+def _establishes(packed: list[_Packed], start: int, keep: int) -> bool:
+    """Whether chaining ``packed`` from ``start`` leaves only what ``keep`` keeps."""
+    return not _chain(packed, start) & ~keep
 
 
 def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
@@ -175,30 +233,27 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
     for var in scope:
         if var not in declared:
             raise ValueError(f"no declared domain for scope variable {var!r}")
-    emitted: list[PropagationRule] = []
+    layout = _Layout({var: declared[var] for var in scope})
+    packed: list[_Packed] = []
     for assignment in _candidate_assignments(scope, declared, len(scope) - 1):
         if not supporting_tuples(constraint, assignment):
             continue
         conclusions = _proper_projections(constraint, assignment, declared)
         if not conclusions:
             continue
-        if _establishes(emitted, assignment, conclusions, declared):
+        if _establishes(packed, layout.pin(assignment), layout.keep(conclusions)):
             continue
-        index = len(emitted) + 1
-        emitted.append(
-            PropagationRule(
-                id=f"{constraint.id}.R{index}",
-                owner=constraint.id,
-                index=index,
-                conditions=tuple(
-                    ConditionLiteral(var, assignment[var])
-                    for var in scope
-                    if var in assignment
-                ),
-                conclusions=conclusions,
-            )
+        index = len(packed) + 1
+        rule = PropagationRule(
+            id=f"{constraint.id}.R{index}",
+            owner=constraint.id,
+            index=index,
+            conditions=tuple(
+                ConditionLiteral(var, assignment[var]) for var in scope if var in assignment
+            ),
+            conclusions=conclusions,
         )
-    emitted = _minimize(emitted, declared)
+        packed += layout.pack([rule])
     final = tuple(
         PropagationRule(
             id=f"{constraint.id}.R{i}",
@@ -207,7 +262,7 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
             conditions=rule.conditions,
             conclusions=rule.conclusions,
         )
-        for i, rule in enumerate(emitted, start=1)
+        for i, rule in enumerate(_minimize(packed, layout), start=1)
     )
     return RuleSet(owner=constraint.id, rules=final)
 
@@ -240,26 +295,25 @@ def rename_rules(
     )
 
 
-def _minimize(
-    rules: list[PropagationRule], declared: DomainMap
-) -> list[PropagationRule]:
+def _minimize(packed: list[_Packed], layout: _Layout) -> list[PropagationRule]:
     """Drop rules whose conclusions the remaining rules re-derive.
 
     Scans in reverse emission order and repeats until stable, so later,
     more specific rules are removed before the earlier rules they were
     emitted under.
     """
-    kept = list(rules)
+    kept = list(packed)
     changed = True
     while changed:
         changed = False
-        for rule in reversed(list(kept)):
-            rest = [r for r in kept if r is not rule]
-            if _establishes(rest, dict(rule.conditions), rule.conclusions, declared):
+        for item in reversed(kept):
+            _, _, keep, rule = item
+            rest = [other for other in kept if other is not item]
+            if _establishes(rest, layout.pin(dict(rule.conditions)), keep):
                 kept = rest
                 changed = True
                 break
-    return kept
+    return [rule for _, _, _, rule in kept]
 
 
 @dataclass(frozen=True)
@@ -289,45 +343,46 @@ def verify_rules(
     seed: int = 0,
 ) -> VerificationReport:
     """Check a rule set against its constraint; failures carry witnesses."""
-    rules = list(rules)
     scope = constraint.scope
-    scoped = {var: tuple(declared[var]) for var in scope}
+    layout = _Layout({var: tuple(declared[var]) for var in scope})
+    packed = layout.pack(rules)
     consistent = [
         a
-        for a in _candidate_assignments(scope, scoped, len(scope))
+        for a in _candidate_assignments(scope, layout.declared, len(scope))
         if supporting_tuples(constraint, a)
     ]
     return VerificationReport(
-        cr1=_check_exactness(rules, constraint, scoped, consistent),
-        cr2=_check_soundness(rules, constraint, scoped, consistent),
-        cr3=_check_confluence(rules, scoped, consistent, orders, seed),
-        cr4=_check_irredundancy(rules, scoped),
+        cr1=_check_exactness(packed, constraint, layout, consistent),
+        cr2=_check_soundness(packed, constraint, layout, consistent),
+        cr3=_check_confluence(packed, layout, consistent, orders, seed),
+        cr4=_check_irredundancy(packed, layout),
     )
 
 
-def _check_exactness(rules, constraint, declared, consistent) -> CriterionResult:
+def _check_exactness(packed, constraint, layout, consistent) -> CriterionResult:
     for assignment in consistent:
-        result = closure(rules, assignment, declared)
+        state = _chain(packed, layout.pin(assignment))
         for var in constraint.scope:
             if var in assignment:
                 continue
             expected = projection(constraint, assignment, var)
-            if result[var] != expected:
+            actual = layout.values(state, var)
+            if actual != expected:
                 return CriterionResult(
                     False,
                     {
                         "start": dict(assignment),
                         "variable": var,
                         "expected": sorted(expected),
-                        "actual": sorted(result[var]),
+                        "actual": sorted(actual),
                     },
                 )
-    for values in product(*(declared[var] for var in constraint.scope)):
+    for values in product(*(layout.declared[var] for var in constraint.scope)):
         if values in constraint.allowed:
             continue
         full = dict(zip(constraint.scope, values))
-        result = closure(rules, full, declared)
-        if all(result[var] for var in constraint.scope):
+        state = _chain(packed, layout.pin(full))
+        if all(state & layout.fields[var] for var in constraint.scope):
             return CriterionResult(
                 False,
                 {
@@ -338,15 +393,16 @@ def _check_exactness(rules, constraint, declared, consistent) -> CriterionResult
     return CriterionResult(True)
 
 
-def _check_soundness(rules, constraint, declared, consistent) -> CriterionResult:
+def _check_soundness(packed, constraint, layout, consistent) -> CriterionResult:
     pos = {var: i for i, var in enumerate(constraint.scope)}
     for assignment in consistent:
-        removed_by: dict[tuple[VariableId, Value], str] = {}
-        result = _chain(rules, _pinned(assignment, declared), removed_by=removed_by)
+        removed_by: dict[int, str] = {}
+        state = _chain(packed, layout.pin(assignment), removed_by=removed_by)
         for support in supporting_tuples(constraint, assignment):
             for var in constraint.scope:
                 value = support[pos[var]]
-                if value not in result[var]:
+                bit = layout.bits.get((var, value), 0)
+                if not state & bit:
                     return CriterionResult(
                         False,
                         {
@@ -354,39 +410,41 @@ def _check_soundness(rules, constraint, declared, consistent) -> CriterionResult
                             "tuple": list(support),
                             "variable": var,
                             "value": value,
-                            "rule": removed_by.get((var, value)),
+                            "rule": removed_by.get(bit),
                         },
                     )
     return CriterionResult(True)
 
 
-def _check_confluence(rules, declared, consistent, orders, seed) -> CriterionResult:
+def _check_confluence(packed, layout, consistent, orders, seed) -> CriterionResult:
     rng = random.Random(seed)
     for assignment in consistent:
-        reference = _chain(rules, _pinned(assignment, declared), first_only=True)
+        start = layout.pin(assignment)
+        reference = _chain(packed, start, first_only=True)
         for _ in range(orders):
-            order = rng.sample(rules, len(rules))
-            result = _chain(order, _pinned(assignment, declared), first_only=True)
+            order = rng.sample(packed, len(packed))
+            result = _chain(order, start, first_only=True)
             if result != reference:
-                diff = next(var for var in reference if reference[var] != result[var])
+                moved = result ^ reference
+                diff = next(var for var, field in layout.fields.items() if moved & field)
                 return CriterionResult(
                     False,
                     {
                         "start": dict(assignment),
-                        "order": [rule.id for rule in order],
+                        "order": [rule.id for _, _, _, rule in order],
                         "variable": diff,
-                        "expected": sorted(reference[diff]),
-                        "actual": sorted(result[diff]),
+                        "expected": sorted(layout.values(reference, diff)),
+                        "actual": sorted(layout.values(result, diff)),
                     },
                 )
     return CriterionResult(True)
 
 
-def _check_irredundancy(rules, declared) -> CriterionResult:
-    for rule in rules:
-        rest = [r for r in rules if r is not rule]
+def _check_irredundancy(packed, layout) -> CriterionResult:
+    for _, _, keep, rule in packed:
+        rest = [other for other in packed if other[3] is not rule]
         start = dict(rule.conditions)
-        if _establishes(rest, start, rule.conclusions, declared):
+        if _establishes(rest, layout.pin(start), keep):
             return CriterionResult(
                 False,
                 {

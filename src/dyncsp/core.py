@@ -300,6 +300,8 @@ class Network:
                 raise ValueError(f"rule id {rule.id!r} already registered")
             if rule.index != position:
                 raise ValueError(f"rule {rule.id!r} has index {rule.index}, not {position}")
+            if rule.owner != cid:
+                raise ValueError(f"rule {rule.id!r} of {rule.owner!r} attached to {cid!r}")
             seen.add(rule.id)
             used = {lit.variable for lit in rule.conditions} | {var for var, _ in rule.conclusions}
             if not used <= self.domains.keys():

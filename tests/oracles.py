@@ -125,3 +125,31 @@ def replay_events(declared, events):
     }
     empties = {var for var, values in visible.items() if not values}
     return visible, empties
+
+
+def chained_fixpoint(domains, rules, start):
+    """Domains left by sweeping ground rules from ``start`` until none shrinks anything.
+
+    domains: {var: iterable of values}; rules: [(conditions, conclusions)]
+    with conditions [(var, value)] and conclusions [(var, allowed values)];
+    start: {var: value}, each value inside its domain. A rule applies when
+    every condition variable holds exactly its condition value, and then
+    intersects each concluded domain with the allowed values. Sweeps try
+    the rules in list order until one changes nothing; an emptied domain
+    satisfies no condition, so after one empties the order matters.
+    Returns {var: set of values}.
+    """
+    doms = {v: set(vals) for v, vals in domains.items()}
+    for var, value in start.items():
+        doms[var] = {value}
+    changed = True
+    while changed:
+        changed = False
+        for conditions, conclusions in rules:
+            if all(doms[var] == {value} for var, value in conditions):
+                for var, vals in conclusions:
+                    kept = doms[var] & set(vals)
+                    if kept != doms[var]:
+                        doms[var] = kept
+                        changed = True
+    return doms

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncsp import ExtensionalConstraint, dump_rules, gate_table, generate, verify_rules
@@ -9,7 +9,7 @@ from dyncsp.compiler import closure, format_rule, projection
 from dyncsp.core import ConditionLiteral, PropagationRule
 
 from generators import random_table
-from oracles import BOOL, brute_projection
+from oracles import BOOL, brute_projection, chained_fixpoint
 
 DECL3 = {"V1": BOOL, "V2": BOOL, "V3": BOOL}
 
@@ -106,6 +106,98 @@ def test_closure_drives_forbidden_assignment_empty():
     assert any(not values for values in result.values())
 
 
+VALUES = ("a", "b", "c", "x", "y", "z", "q")
+
+
+@st.composite
+def chaining_cases(draw):
+    """Random rules over declared domains, with starts inside them.
+
+    Condition and conclusion values are drawn from the variable's own
+    domain or from any domain or none, so rules may hold out-of-domain or
+    contradictory conditions and conclude on one variable several times;
+    starts may empty a domain.
+    """
+    names = ("V1", "V2", "V3", "V4")[: draw(st.integers(1, 4))]
+    declared = {
+        var: draw(st.sampled_from((("a", "b"), ("a", "b", "c"), ("x", "y", "z"))))
+        for var in names
+    }
+
+    def variable():
+        return draw(st.sampled_from(names))
+
+    def value(var):
+        return draw(st.sampled_from(declared[var] + VALUES))
+
+    def condition():
+        var = variable()
+        return var, value(var)
+
+    def conclusion():
+        var = variable()
+        return var, tuple(value(var) for _ in range(draw(st.integers(0, 3))))
+
+    raw = [
+        (
+            [condition() for _ in range(draw(st.integers(0, 3)))],
+            [conclusion() for _ in range(draw(st.integers(1, 3)))],
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    start = {}
+    for var in names:
+        if draw(st.booleans()):
+            start[var] = draw(st.sampled_from(declared[var]))
+    return declared, raw, start
+
+
+@settings(deadline=None, max_examples=200)
+@given(chaining_cases())
+@example(  # V1 empties after R1 was passed over, so R1 never strips V2
+    (
+        {"V1": ("a", "b"), "V2": ("a", "b")},
+        [([("V1", "a")], [("V2", ())]), ([], [("V1", ("a",))]), ([], [("V1", ())])],
+        {},
+    )
+)
+@example(  # two values for V1 never hold, even while V1 keeps exactly both
+    ({"V1": ("a", "b"), "V2": ("a", "b")}, [([("V1", "a"), ("V1", "b")], [("V2", ())])], {})
+)
+@example(  # values outside the domain: a condition never holds, a conclusion keeps nothing
+    (
+        {"V1": ("a", "b"), "V2": ("x", "y", "z")},
+        [([("V2", "q")], [("V1", ())]), ([], [("V1", ("q",))])],
+        {},
+    )
+)
+def test_closure_matches_a_plain_set_fixpoint(case):
+    declared, raw, start = case
+    rules = [
+        PropagationRule(
+            f"T.R{i}",
+            "T",
+            i,
+            tuple(ConditionLiteral(var, value) for var, value in conditions),
+            tuple(conclusions),
+        )
+        for i, (conditions, conclusions) in enumerate(raw, start=1)
+    ]
+    expected = chained_fixpoint(declared, raw, start)
+    assert closure(rules, start, declared) == {
+        var: frozenset(vals) for var, vals in expected.items()
+    }
+
+
+def test_closure_rejects_input_outside_the_declared_domains():
+    rules = generate(and_constraint(), DECL3).rules
+    with pytest.raises(ValueError, match="outside the declared domain"):
+        closure(rules, {"V1": "maybe"}, DECL3)
+    stray = PropagationRule("T.R1", "T", 1, (ConditionLiteral("Z", "true"),), ())
+    with pytest.raises(ValueError, match="uses an undeclared variable"):
+        closure([stray], {}, DECL3)
+
+
 def test_verify_passes_for_all_generated_gates():
     for kind, arity in (("and", 2), ("or", 2), ("xor", 2), ("nand", 2), ("nor", 2), ("not", 1)):
         scope = tuple(f"V{i}" for i in range(1, arity + 2))
@@ -177,7 +269,64 @@ def test_order_dependent_rule_set_fails_confluence():
     ]
     report = verify_rules(racing, c, decl)
     assert not report.cr3.passed
-    assert report.cr3.witness["order"]
+    # frozen: pins the seeded order stream
+    assert report.cr3.witness == {
+        "start": {"A": "true", "B": "true"},
+        "order": ["C.R2", "C.R1"],
+        "variable": "C",
+        "expected": ["false", "true"],
+        "actual": ["false"],
+    }
+
+
+def test_confluence_orders_restart_at_the_first_rule_after_each_firing():
+    c = table_constraint("C", ("A", "B", "C"), {("false", "true", "true")})
+    decl = {"A": BOOL, "B": BOOL, "C": BOOL}
+    rules = [
+        PropagationRule("C.R1", "C", 1, (), (("A", ()),)),
+        PropagationRule("C.R2", "C", 2, (ConditionLiteral("A", "true"),), (("C", ()),)),
+        PropagationRule("C.R3", "C", 3, (), (("A", ("true",)),)),
+    ]
+    # after R3 fires, the restart tries R2 while A is still {true}; a sweep
+    # that went on to R1 first would empty A and agree with the reference
+    assert verify_rules(rules, c, decl).cr3.witness == {
+        "start": {},
+        "order": ["C.R2", "C.R3", "C.R1"],
+        "variable": "C",
+        "expected": ["false", "true"],
+        "actual": [],
+    }
+
+
+def test_one_firing_removing_several_values_is_attributed_to_it():
+    rules = list(generate(and_constraint(), DECL3).rules)
+    bogus = PropagationRule(
+        id="C_and.X1",
+        owner="C_and",
+        index=len(rules) + 1,
+        conditions=(ConditionLiteral("V3", "true"),),
+        conclusions=(("V1", ("false",)), ("V2", ("false",))),
+    )
+    report = verify_rules(rules + [bogus], and_constraint(), DECL3)
+    # R3 first strips V1=false and V2=false; one firing of X1 then strips
+    # both supported values, so X1 is the remover of V1=true
+    assert report.cr2.witness == {
+        "start": {"V3": "true"},
+        "tuple": ["true", "true", "true"],
+        "variable": "V1",
+        "value": "true",
+        "rule": "C_and.X1",
+    }
+    # frozen: a seven-rule order pins the seeded permutation stream
+    assert report.cr3.witness == {
+        "start": {"V3": "true"},
+        "order": [
+            "C_and.X1", "C_and.R1", "C_and.R5", "C_and.R6", "C_and.R4", "C_and.R3", "C_and.R2"
+        ],
+        "variable": "V1",
+        "expected": [],
+        "actual": ["false"],
+    }
 
 
 @settings(deadline=None, max_examples=40)

@@ -69,9 +69,15 @@ def test_rejected_rule_set_leaves_no_trace():
         )
 
     before = watches()
-    for clash in (net.rules["N1"][0], rules[0]):  # registered already, or twice in the set
-        with pytest.raises(ValueError, match="already registered"):
-            net.add_constraint(n2, RuleSet("N2", rules + (clash,)))
+    # filed under N1, N2's rules would stop propagating once N1 is relaxed
+    misfiled = tuple(replace(rule, owner="N1") for rule in rules)
+    for bad, message in (
+        (rules + (net.rules["N1"][0],), "already registered"),
+        (rules + (rules[0],), "already registered"),
+        (misfiled, "of 'N1' attached to 'N2'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            net.add_constraint(n2, RuleSet("N2", bad))
         assert set(net.constraints) == set(net.rules) == {"N1"}
         assert set(net.rule_index) == {rule.id for rule in net.rules["N1"]}
         assert watches() == before

@@ -10,7 +10,8 @@ rules re-derive, so the published rule set is irredundant.
 criteria: the chained fixpoint from every consistent partial assignment
 equals the exact projections (cr1), no rule ever removes a supported
 value (cr2), the fixpoint is independent of firing order (cr3), and no
-rule is redundant (cr4). Failures carry concrete witnesses.
+rule is redundant or can never fire (cr4). Failures carry concrete
+witnesses.
 
 Both chain rules on a bit layout: one int holds every domain, with one
 bit per (variable, declared value), and each rule is packed once per
@@ -441,7 +442,16 @@ def _check_confluence(packed, layout, consistent, orders, seed) -> CriterionResu
 
 
 def _check_irredundancy(packed, layout) -> CriterionResult:
-    for _, _, keep, rule in packed:
+    for cm, cb, keep, rule in packed:
+        if cb & ~cm:  # packed as never firing; see _Layout.pack
+            return CriterionResult(
+                False,
+                {
+                    "rule": rule.id,
+                    "conditions": [[lit.variable, lit.value] for lit in rule.conditions],
+                    "reason": "the conditions can never hold together",
+                },
+            )
         rest = [other for other in packed if other[3] is not rule]
         start = dict(rule.conditions)
         if _establishes(rest, layout.pin(start), keep):

@@ -1,22 +1,31 @@
 """Diagnosis of inconsistent networks by relaxing constraints.
 
 A diagnosis is a minimal set of relaxable constraints whose removal
-makes the network consistent with all active observations. The search
-walks the tree of conflict sets depth first: every conflict must lose at
-least one member, so branching on the relaxable constraints of the
-current conflict reaches every minimal diagnosis within the cardinality
-bound. Each probe reuses the incremental relax/restore machinery; the
-network is snapshotted first and rolled back afterwards, so diagnosis is
-observationally pure.
+makes the network consistent with all active observations: a minimal
+set that hits the relaxable members of every conflict. ``diagnose``
+grows Reiter's hitting-set tree one level per cardinality. A node is a
+set of relaxed constraints, shared by every path that reaches it, and
+is labelled by a known conflict it does not hit; its children relax one
+more member of that conflict. Only a node that hits every known
+conflict probes: it toggles the network to its relaxed set and
+propagates once, which yields either a diagnosis or a new conflict for
+later nodes to reuse. A node that contains a found diagnosis is closed,
+and so is a node at the cardinality bound that a known conflict labels.
+Levels run in order of cardinality, so every diagnosis found is
+minimal. The network is snapshotted first and rolled back afterwards,
+so diagnosis is observationally pure.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .core import ConstraintId, Network
-from .dynamics import relax, restore
+from .dynamics import set_active
 from .engine import CONFLICT, ConflictSet, propagate
+
+Node = frozenset[ConstraintId]
 
 
 @dataclass(frozen=True)
@@ -42,49 +51,72 @@ def diagnose(network: Network, max_cardinality: int) -> list[Diagnosis]:
     if max_cardinality < 1:
         raise ValueError("max_cardinality must be at least 1")
     snapshot = network.snapshot()
-    found: list[frozenset[ConstraintId]] = []
     try:
-        consistent, _ = check_consistent(network)
+        consistent, conflict = check_consistent(network)
         if consistent:
             return [Diagnosis(frozenset(), 0)]
-        _explore(network, frozenset(), max_cardinality, found, set())
+        found = _search(network, conflict, max_cardinality)
     finally:
         network.rollback(snapshot)
-    minimal = [s for s in found if not any(o < s for o in found)]
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
-    return [Diagnosis(s, len(s)) for s in minimal]
+    return [Diagnosis(s, len(s)) for s in found]
 
 
-def _explore(
-    network: Network,
-    relaxed: frozenset[ConstraintId],
-    max_cardinality: int,
-    found: list[frozenset[ConstraintId]],
-    visited: set[frozenset[ConstraintId]],
-) -> None:
-    """Depth-first search below the node that has ``relaxed`` relaxed.
+class _Conflicts:
+    """The relaxable members of every conflict found, indexed by member.
 
-    A module-level function rather than a closure: a recursive closure
-    references itself through its cell, and that cycle would keep the
-    network alive until the cyclic garbage collector ran.
+    A node may reuse any conflict it does not hit; the smallest one, by
+    size then by discovery, gives it the fewest children.
     """
-    if relaxed in visited:
-        return
-    visited.add(relaxed)
-    if any(d <= relaxed for d in found):
-        return
-    consistent, conflict = check_consistent(network)
-    if consistent:
-        found.append(relaxed)
-        return
-    if len(relaxed) >= max_cardinality:
-        return
-    candidates = sorted(
-        cid
-        for cid in conflict.constraints
-        if network.constraints[cid].relaxable and cid not in relaxed
-    )
-    for cid in candidates:
-        relax(network, cid)
-        _explore(network, relaxed | {cid}, max_cardinality, found, visited)
-        restore(network, cid)
+
+    def __init__(self) -> None:
+        self.smallest_first: list[tuple[ConstraintId, ...]] = []
+        self.by_member: dict[ConstraintId, set[tuple[ConstraintId, ...]]] = {}
+
+    def add(self, network: Network, conflict: ConflictSet) -> tuple[ConstraintId, ...]:
+        members = tuple(sorted(c for c in conflict.constraints if network.constraints[c].relaxable))
+        insort(self.smallest_first, members, key=len)
+        for cid in members:
+            self.by_member.setdefault(cid, set()).add(members)
+        return members
+
+    def unhit(self, node: Node) -> tuple[ConstraintId, ...] | None:
+        """The smallest known conflict disjoint from ``node``, if any."""
+        hit = set().union(*(self.by_member.get(cid, ()) for cid in node))
+        return next((members for members in self.smallest_first if members not in hit), None)
+
+
+def _search(network: Network, root_conflict: ConflictSet, max_cardinality: int) -> list[Node]:
+    """Minimal diagnoses up to the bound, level by level, in result order.
+
+    ``relaxed`` is what the network has relaxed right now; a probe
+    toggles only the difference to its node.
+    """
+    conflicts = _Conflicts()
+    conflicts.add(network, root_conflict)
+    found: list[Node] = []
+    found_by_member: dict[ConstraintId, list[Node]] = {}
+    relaxed: set[ConstraintId] = set()
+    level: list[Node] = [frozenset()]
+    while level:
+        children: set[Node] = set()
+        for node in level:
+            if any(d <= node for cid in node for d in found_by_member.get(cid, ())):
+                continue
+            label = conflicts.unhit(node)
+            if label is None:
+                for cid in sorted(relaxed - node):
+                    set_active(network, cid, True)
+                for cid in sorted(node - relaxed):
+                    set_active(network, cid, False)
+                relaxed = set(node)
+                consistent, conflict = check_consistent(network)
+                if consistent:
+                    found.append(node)
+                    for cid in node:
+                        found_by_member.setdefault(cid, []).append(node)
+                    continue
+                label = conflicts.add(network, conflict)
+            if len(node) < max_cardinality:
+                children.update(node | {cid} for cid in label)
+        level = sorted(children, key=sorted)
+    return found

@@ -89,6 +89,31 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
     return record
 
 
+def set_active(network: Network, constraint_id: ConstraintId, active: bool) -> None:
+    """Relax or restore a constraint without propagating.
+
+    Relaxing deactivates the constraint and cancels the firings of its
+    rules; restoring reactivates it and queues its rules on the agenda.
+    The next propagation pass re-derives what either change allows, so a
+    caller that toggles several constraints propagates once.
+    """
+    constraint = network.constraint(constraint_id)
+    if constraint.active == active:
+        state = "active" if active else "relaxed"
+        raise ValueError(f"constraint {constraint_id!r} is already {state}")
+    if not (active or constraint.relaxable):
+        raise ValueError(f"constraint {constraint_id!r} is not relaxable")
+    constraint.active = active
+    network.events.append(("restore" if active else "relax", constraint_id))
+    if active:
+        network.queue_rules(constraint_id)
+        return
+    for rule in network.rules[constraint_id]:
+        fid = network.active_firing.get(rule.id)
+        if fid is not None:
+            cancel_firing(network, fid)
+
+
 def relax(network: Network, constraint_id: ConstraintId) -> PropagationOutcome:
     """Deactivate a constraint, withdraw its inferences, and re-propagate.
 
@@ -96,28 +121,13 @@ def relax(network: Network, constraint_id: ConstraintId) -> PropagationOutcome:
     constraint useful again (its conclusion was redundant while the mask
     stood).
     """
-    constraint = network.constraint(constraint_id)
-    if not constraint.active:
-        raise ValueError(f"constraint {constraint_id!r} is already relaxed")
-    if not constraint.relaxable:
-        raise ValueError(f"constraint {constraint_id!r} is not relaxable")
-    constraint.active = False
-    network.events.append(("relax", constraint_id))
-    for rule in network.rules[constraint_id]:
-        fid = network.active_firing.get(rule.id)
-        if fid is not None:
-            cancel_firing(network, fid)
+    set_active(network, constraint_id, False)
     return propagate(network)
 
 
 def restore(network: Network, constraint_id: ConstraintId) -> PropagationOutcome:
     """Reactivate a relaxed constraint and re-derive its consequences."""
-    constraint = network.constraint(constraint_id)
-    if constraint.active:
-        raise ValueError(f"constraint {constraint_id!r} is already active")
-    constraint.active = True
-    network.events.append(("restore", constraint_id))
-    network.queue_rules(constraint_id)
+    set_active(network, constraint_id, True)
     return propagate(network)
 
 

@@ -10,9 +10,10 @@ from itertools import product
 
 from dyncsp import GateDecl, NetworkSpec, ObservationDecl, VariableDecl
 
-from oracles import BOOL, gate_rows
+from oracles import BOOL, GATE_FN, gate_rows
 
 GATE_ARITY = {"and": 2, "or": 2, "not": 1, "xor": 2, "nand": 2, "nor": 2}
+LAYERED_KINDS = ("and", "or", "xor", "nand", "nor")
 
 
 def random_network(seed, max_vars=8, max_gates=6, kinds=None):
@@ -41,6 +42,38 @@ def random_network(seed, max_vars=8, max_gates=6, kinds=None):
             )
         )
     return NetworkSpec(variables=variables, gates=tuple(gates))
+
+
+def faulty_layered_circuit(seed, n_inputs, n_gates, window, faults):
+    """A layered circuit with ``faults`` inverted gates, observed where it shows.
+
+    Gate ``G<g>`` drives ``S<g>`` from two of the last ``window`` signals,
+    cycling through the two-input kinds. The observations, on every input
+    and every third gate output, come from simulating the circuit with
+    the inverted gates. Returns (spec, inverted gate ids).
+    """
+    rng = random.Random(seed)
+    signals = [f"I{i}" for i in range(1, n_inputs + 1)]
+    values = {name: rng.random() < 0.5 for name in signals}
+    gates = []
+    for g in range(1, n_gates + 1):
+        inputs = tuple(rng.sample(signals[-window:], 2))
+        gates.append(GateDecl(f"G{g}", LAYERED_KINDS[g % 5], inputs, f"S{g}"))
+        signals.append(f"S{g}")
+    inverted = frozenset(rng.sample([gate.id for gate in gates], faults))
+    for gate in gates:
+        out = GATE_FN[gate.kind](*(values[name] for name in gate.inputs))
+        values[gate.output] = out != (gate.id in inverted)
+    observed = signals[:n_inputs] + [gate.output for gate in gates[2::3]]
+    spec = NetworkSpec(
+        variables=tuple(VariableDecl(name, BOOL) for name in signals),
+        gates=tuple(gates),
+        observations=tuple(
+            ObservationDecl(f"M{i}", name, BOOL[values[name]])
+            for i, name in enumerate(observed, 1)
+        ),
+    )
+    return spec, inverted
 
 
 def random_observations(seed, spec, max_count=None):

@@ -30,10 +30,11 @@ from dyncsp import (
     run_script,
     verify_rules,
 )
-from dyncsp import engine, runner
+from dyncsp import diagnosis, engine, runner
 from dyncsp.compiler import rename_rules
 
 from generators import (
+    faulty_layered_circuit,
     oracle_structures,
     random_network,
     random_observations,
@@ -445,3 +446,26 @@ def test_criterion_9_chain_work_is_proportional_to_the_change(monkeypatch):
         out = restore(net, f"N{cut}")
         assert len(out.fired) == released
         assert checks <= 8 * len(out.fired)
+
+
+def test_criterion_9_diagnosis_probes_only_where_no_known_conflict_decides(monkeypatch):
+    """On a 60-gate layered circuit with two inverted gates, ``diagnose``
+    with bound 2 probes (calls ``check_consistent``) at most 16 times.
+    The depth-first search that derived a fresh conflict at every node
+    probed 84 times; the hitting-set tree that reuses known conflicts
+    probes 8 times."""
+    spec, _ = faulty_layered_circuit(0, 10, 60, 12, 2)
+    net = build_network(spec)
+    probes = 0
+    original = diagnosis.check_consistent
+
+    def counted(network):
+        nonlocal probes
+        probes += 1
+        return original(network)
+
+    monkeypatch.setattr(diagnosis, "check_consistent", counted)
+    result = diagnose(net, max_cardinality=2)
+    # G32 and G38 are the inverted gates
+    assert [sorted(d.constraints) for d in result] == [["G28", "G38"], ["G32", "G38"]]
+    assert probes <= 16

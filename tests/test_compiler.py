@@ -251,6 +251,28 @@ def test_duplicated_rule_fails_irredundancy():
     assert report.cr4.witness["rule"] in ("C_and.R1", "C_and.X1")
 
 
+@pytest.mark.parametrize(
+    "conditions",
+    [
+        [("A", "false"), ("A", "true")],  # two values for one variable
+        [("A", "maybe")],  # a value outside the declared domain
+    ],
+)
+def test_rule_that_can_never_fire_fails_irredundancy(conditions):
+    c = ExtensionalConstraint("N", "not", ("A", "B"), gate_table("not", 1))
+    decl = {"A": BOOL, "B": BOOL}
+    literals = tuple(ConditionLiteral(var, value) for var, value in conditions)
+    dead = PropagationRule("N.R5", "N", 5, literals, (("B", ("true",)),))
+    rules = generate(c, decl).rules + (dead,)
+    report = verify_rules(rules, c, decl)
+    assert report.cr1.passed and report.cr2.passed and report.cr3.passed
+    assert report.cr4.witness == {
+        "rule": "N.R5",
+        "conditions": [list(literal) for literal in conditions],
+        "reason": "the conditions can never hold together",
+    }
+
+
 def test_order_dependent_rule_set_fails_confluence():
     # racing pair: emptying B first disables the rule that would prune C
     c = table_constraint("C", ("A", "B", "C"), {("true", "true", "true")})

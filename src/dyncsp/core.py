@@ -6,7 +6,9 @@ firing trace. Runtime narrowing never deletes a value: it masks the value
 under one or more justifications (firing ids or observation ids), so every
 removal is reversible and attributable. Every mutation appends to an event
 log; replaying the log against a fresh structural copy reproduces the
-state exactly.
+state exactly. The log is also the undo trail: ``Network.rollback``
+inverts the events logged since a mark, newest first, so undo costs
+what changed, not the size of the network.
 
 Each network also keeps an agenda that holds every rule that may be
 applicable. Every mutation that can make a rule applicable queues it: a
@@ -72,6 +74,22 @@ class FiniteDomain:
 
     def visible_count(self) -> int:
         return len(self.declared) - len(self.mask)
+
+    def hide(self, value: Value, cause: Cause) -> bool:
+        """Count one more ``cause`` hiding ``value``; True if it was visible."""
+        newly = value not in self.mask
+        self.mask.setdefault(value, Counter())[cause] += 1
+        return newly
+
+    def unhide(self, value: Value, cause: Cause) -> bool:
+        """Drop one count of ``cause`` on ``value``; True if it became visible."""
+        ctr = self.mask[value]
+        ctr[cause] -= 1
+        if ctr[cause] == 0:
+            del ctr[cause]
+        if not ctr:
+            del self.mask[value]
+        return not ctr
 
 
 @dataclass
@@ -140,25 +158,9 @@ class Firing:
 
 @dataclass
 class ChangeRecord:
-    """Accumulated effects of one mutating operation."""
+    """The firings one cancellation withdrew, in cancellation order."""
 
-    masked: list[tuple[VariableId, Value]] = field(default_factory=list)
-    claimed: list[tuple[VariableId, Value]] = field(default_factory=list)
-    released: list[tuple[VariableId, Value]] = field(default_factory=list)
     cancelled: list[FiringId] = field(default_factory=list)
-    emptied: VariableId | None = None
-
-    def merge(self, other: "ChangeRecord") -> "ChangeRecord":
-        self.masked.extend(other.masked)
-        self.claimed.extend(other.claimed)
-        self.released.extend(other.released)
-        self.cancelled.extend(other.cancelled)
-        if self.emptied is None:
-            self.emptied = other.emptied
-        return self
-
-    def __bool__(self) -> bool:
-        return bool(self.masked or self.released or self.cancelled)
 
 
 AgendaEntry = tuple[ConstraintId, int]  # (constraint id, 1-based rule index)
@@ -209,21 +211,6 @@ class Agenda:
         return twin
 
 
-@dataclass
-class _Snapshot:
-    masks: dict
-    firing_status: dict
-    active_firing: dict
-    watchers: dict
-    empty_order: list
-    observation_ids: set
-    observation_active: dict
-    constraint_active: dict
-    agenda: Agenda
-    event_count: int
-    next_firing_id: int
-
-
 class Network:
     """A constraint network under single-writer mutation.
 
@@ -236,6 +223,12 @@ class Network:
     conclusions exclude that value. Together with the constraint's own
     rule list they say which rules a mutation can make applicable, and
     ``agenda`` holds every rule that may be applicable right now.
+
+    ``events`` is the trail: every change to masks, firings, observations
+    and constraint flags appends one event, and :meth:`rollback` undoes
+    them. ``watchers`` maps a variable to the active firings whose
+    conditions test it and never keeps an empty set, so undo restores it
+    exactly.
     """
 
     def __init__(self, *, short_circuit: bool = False, rng=None):
@@ -347,45 +340,61 @@ class Network:
     def visible_state(self) -> dict[VariableId, tuple[Value, ...]]:
         return {name: dom.visible() for name, dom in self.domains.items()}
 
-    def snapshot(self) -> _Snapshot:
-        """Capture everything mutable so a later rollback is exact."""
-        return _Snapshot(
-            masks={
-                name: {value: ctr.copy() for value, ctr in dom.mask.items()}
-                for name, dom in self.domains.items()
-            },
-            firing_status={fid: f.status for fid, f in self.firings.items()},
-            active_firing=dict(self.active_firing),
-            watchers={var: set(fids) for var, fids in self.watchers.items()},
-            empty_order=list(self.empty_order),
-            observation_ids=set(self.observations),
-            observation_active={oid: obs.active for oid, obs in self.observations.items()},
-            constraint_active={cid: c.active for cid, c in self.constraints.items()},
-            agenda=self.agenda.copy(),
-            event_count=len(self.events),
-            next_firing_id=self.next_firing_id,
+    def watch(self, firing_id: FiringId, rule: PropagationRule) -> None:
+        """Register an active firing under each variable its conditions test."""
+        for lit in rule.conditions:
+            self.watchers.setdefault(lit.variable, set()).add(firing_id)
+
+    def unwatch(self, firing_id: FiringId, rule: PropagationRule) -> None:
+        """Undo :meth:`watch`, dropping a watcher set once it is empty."""
+        for lit in rule.conditions:
+            fids = self.watchers.get(lit.variable)
+            if fids is not None:
+                fids.discard(firing_id)
+                if not fids:
+                    del self.watchers[lit.variable]
+
+    def snapshot(self) -> tuple:
+        """Mark the trail, keeping what no event records: agenda, empty_order, next id, rng."""
+        return (
+            len(self.events),
+            self.agenda.copy(),
+            list(self.empty_order),
+            self.next_firing_id,
+            None if self.rng is None else self.rng.getstate(),
         )
 
-    def rollback(self, snap: _Snapshot) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        for name, dom in self.domains.items():
-            dom.mask = {value: ctr.copy() for value, ctr in snap.masks[name].items()}
-        for fid in [f for f in self.firings if f >= snap.next_firing_id]:
-            del self.firings[fid]
-        for fid, status in snap.firing_status.items():
-            self.firings[fid].status = status
-        self.active_firing = dict(snap.active_firing)
-        self.watchers = {var: set(fids) for var, fids in snap.watchers.items()}
-        self.empty_order = list(snap.empty_order)
-        for oid in [o for o in self.observations if o not in snap.observation_ids]:
-            del self.observations[oid]
-        for oid, flag in snap.observation_active.items():
-            self.observations[oid].active = flag
-        for cid, flag in snap.constraint_active.items():
-            self.constraints[cid].active = flag
-        del self.events[snap.event_count:]
-        self.next_firing_id = snap.next_firing_id
-        self.agenda = snap.agenda.copy()
+    def rollback(self, mark: tuple) -> None:
+        """Return to ``mark`` by inverting each event logged since, newest first."""
+        count, agenda, empty_order, next_firing_id, rng_state = mark
+        for event in reversed(self.events[count:]):
+            kind = event[0]
+            if kind == "mask":
+                self.domains[event[1]].unhide(event[2], event[3])
+            elif kind == "release":
+                self.domains[event[1]].hide(event[2], event[3])
+            elif kind == "fire":
+                fid, rule_id = event[1], event[2]
+                del self.firings[fid]
+                del self.active_firing[rule_id]
+                self.unwatch(fid, self.rule_index[rule_id])
+            elif kind == "cancel":
+                firing = self.firings[event[1]]
+                firing.status = ACTIVE
+                self.active_firing[firing.rule] = firing.id
+                self.watch(firing.id, self.rule_index[firing.rule])
+            elif kind == "observe":
+                del self.observations[event[1]]
+            elif kind == "retract":
+                self.observations[event[1]].active = True
+            elif kind in ("relax", "restore"):
+                self.constraints[event[1]].active = kind == "relax"
+        del self.events[count:]
+        self.agenda = agenda.copy()
+        self.empty_order = list(empty_order)
+        self.next_firing_id = next_firing_id
+        if rng_state is not None:
+            self.rng.setstate(rng_state)
 
 
 def mask_value(network: Network, variable: VariableId, value: Value, cause: Cause) -> bool:
@@ -393,8 +402,7 @@ def mask_value(network: Network, variable: VariableId, value: Value, cause: Caus
     dom = network.domain(variable)
     if value not in dom.declared:
         raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
-    newly = value not in dom.mask
-    dom.mask.setdefault(value, Counter())[cause] += 1
+    newly = dom.hide(value, cause)
     network.events.append(("mask", variable, value, cause))
     if newly:
         remaining = dom.visible_count()
@@ -413,12 +421,8 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
     if ctr is None or ctr[cause] <= 0:
         raise ValueError(f"no mask on {variable}={value} is justified by {cause!r}")
     network.events.append(("release", variable, value, cause))
-    ctr[cause] -= 1
-    if ctr[cause] == 0:
-        del ctr[cause]
-    if ctr:
+    if not dom.unhide(value, cause):
         return False
-    del dom.mask[value]
     if dom.visible_count() == 1:
         if variable in network.empty_order:
             network.empty_order.remove(variable)
@@ -434,41 +438,27 @@ def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
 
 
 def restrict(
-    network: Network,
-    variable: VariableId,
-    allowed: Iterable[Value],
-    cause: Cause,
-    *,
-    claim_masked: bool = False,
-) -> ChangeRecord:
-    """Mask every visible value of ``variable`` outside ``allowed``.
+    network: Network, variable: VariableId, allowed: Iterable[Value], cause: Cause
+) -> tuple[list[tuple[VariableId, Value]], list[tuple[VariableId, Value]]]:
+    """Hide every value of ``variable`` outside ``allowed`` under ``cause``.
 
-    Returns the masks added; ``emptied`` is set when the visible domain
-    became empty (a signal for the caller, never an exception). A call
-    that changes nothing produces an empty record and no event.
-
-    With ``claim_masked`` the cause is also added to excluded values that
-    are already hidden (reported in ``claimed``), so the exclusion
-    survives the release of whichever cause hid them first.
+    Returns the pairs it hid and the pairs it claimed: an excluded value
+    that another cause already hides gets ``cause`` as well, so the
+    exclusion survives the release of whichever cause hid it first. A
+    domain left empty is recorded in ``network.empty_order`` (a signal for
+    the caller, never an exception).
     """
     dom = network.domain(variable)
     keep = frozenset(allowed)
     for value in keep:
         if value not in dom.declared:
             raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
-    record = ChangeRecord()
+    hidden, claimed = [], []
     for value in dom.declared:
-        if value in keep:
-            continue
-        if dom.is_visible(value):
-            mask_value(network, variable, value, cause)
-            record.masked.append((variable, value))
-        elif claim_masked:
-            mask_value(network, variable, value, cause)
-            record.claimed.append((variable, value))
-    if record.masked and dom.visible_count() == 0:
-        record.emptied = variable
-    return record
+        if value not in keep:
+            newly = mask_value(network, variable, value, cause)
+            (hidden if newly else claimed).append((variable, value))
+    return hidden, claimed
 
 
 def is_instantiated(network: Network, variable: VariableId, value: Value) -> bool:

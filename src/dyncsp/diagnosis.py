@@ -12,8 +12,9 @@ propagates once, which yields either a diagnosis or a new conflict for
 later nodes to reuse. A node that contains a found diagnosis is closed,
 and so is a node at the cardinality bound that a known conflict labels.
 Levels run in order of cardinality, so every diagnosis found is
-minimal. The network is snapshotted first and rolled back afterwards,
-so diagnosis is observationally pure.
+minimal. ``diagnose`` marks the network's event trail first and
+unwinds every event since the mark afterwards, restoring the rng as
+well, so diagnosis is observationally pure.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def diagnose(network: Network, max_cardinality: int) -> list[Diagnosis]:
     """
     if max_cardinality < 1:
         raise ValueError("max_cardinality must be at least 1")
-    snapshot = network.snapshot()
+    mark = network.snapshot()
     try:
         consistent, conflict = check_consistent(network)
         if consistent:
             return [Diagnosis(frozenset(), 0)]
         found = _search(network, conflict, max_cardinality)
     finally:
-        network.rollback(snapshot)
+        network.rollback(mark)
     return [Diagnosis(s, len(s)) for s in found]
 
 

@@ -76,15 +76,11 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
             continue
         firing.status = CANCELLED
         record.cancelled.append(fid)
-        if network.active_firing.get(firing.rule) == fid:
-            del network.active_firing[firing.rule]
-        rule = network.rule(firing.rule)
-        for lit in rule.conditions:
-            network.watchers.get(lit.variable, set()).discard(fid)
+        del network.active_firing[firing.rule]
+        network.unwatch(fid, network.rule(firing.rule))
         network.events.append(("cancel", fid))
         for var, value in firing.effects:
-            if release(network, var, value, fid):
-                record.released.append((var, value))
+            release(network, var, value, fid)
             stack.extend(_unfounded_watchers(network, var, value))
     return record
 

@@ -16,7 +16,6 @@ from .core import (
     ACTIVE,
     AgendaEntry,
     Cause,
-    ChangeRecord,
     ConditionLiteral,
     ConstraintId,
     Firing,
@@ -80,14 +79,15 @@ def _serialize_supports(
     )
 
 
-def fire_rule(network: Network, rule: PropagationRule) -> ChangeRecord:
+def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
     """Apply one rule, recording the firing and its justifications.
 
-    A call whose conclusions would not remove anything visible is a
-    no-op: it returns an empty record and leaves no trace. A firing that
-    does shrink something claims a justification on every value its
-    conclusions exclude, even values another cause already hides, so its
-    exclusions stay in force if that other cause is later released.
+    Returns the new firing id. A call whose conclusions would not remove
+    anything visible is a no-op: it returns ``None`` and leaves no trace.
+    A firing that does shrink something claims a justification on every
+    value its conclusions exclude, even values another cause already
+    hides, so its exclusions stay in force if that other cause is later
+    released.
     """
     if rule.id in network.active_firing:
         raise ValueError(f"rule {rule.id!r} already has an active firing")
@@ -95,7 +95,7 @@ def fire_rule(network: Network, rule: PropagationRule) -> ChangeRecord:
         if not is_instantiated(network, lit.variable, lit.value):
             raise ValueError(f"condition {lit.variable}={lit.value} of {rule.id!r} does not hold")
     if not _would_shrink(network, rule):
-        return ChangeRecord()
+        return None
     supports = []
     for lit in rule.conditions:
         causes: set[Cause] = set()
@@ -104,24 +104,25 @@ def fire_rule(network: Network, rule: PropagationRule) -> ChangeRecord:
         supports.append((lit, frozenset(causes)))
     fid = network.next_firing_id
     network.next_firing_id += 1
-    record = ChangeRecord()
+    hidden, claimed = [], []
     for var, vals in rule.conclusions:
-        record.merge(restrict(network, var, vals, fid, claim_masked=True))
+        newly_hidden, also_claimed = restrict(network, var, vals, fid)
+        hidden += newly_hidden
+        claimed += also_claimed
     firing = Firing(
         id=fid,
         rule=rule.id,
         supports=tuple(supports),
-        effects=tuple(record.masked) + tuple(record.claimed),
+        effects=tuple(hidden + claimed),
         status=ACTIVE,
     )
     network.firings[fid] = firing
     network.active_firing[rule.id] = fid
-    for lit in rule.conditions:
-        network.watchers.setdefault(lit.variable, set()).add(fid)
+    network.watch(fid, rule)
     network.events.append(
         ("fire", fid, rule.id, _serialize_supports(firing.supports), firing.effects)
     )
-    return record
+    return fid
 
 
 def extract_conflict(network: Network, variable: VariableId) -> ConflictSet:
@@ -198,12 +199,12 @@ def propagate(network: Network) -> PropagationOutcome:
             rule = network.rules[cid][index - 1]
             if not rule_applicable(network, rule):
                 continue
-            record = fire_rule(network, rule)
-            fired.append(network.active_firing[rule.id])
+            fired.append(fire_rule(network, rule))
             if network.short_circuit:
                 exhausted.add(cid)
-            if record.emptied is not None:
-                return _conflict_outcome(network, record.emptied, fired)
+            emptied = network.first_empty()
+            if emptied is not None:
+                return _conflict_outcome(network, emptied, fired)
         return PropagationOutcome(FIXPOINT, fired)
     finally:
         agenda.push(held)
@@ -226,7 +227,7 @@ def assert_observation(network: Network, observation: Observation) -> Propagatio
         raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
     network.observations[oid] = observation
     network.events.append(("observe", oid, variable, value))
-    restrict(network, variable, (value,), oid, claim_masked=True)
+    restrict(network, variable, (value,), oid)
     standing = network.first_empty()
     if standing is not None:
         return _conflict_outcome(network, standing, [])

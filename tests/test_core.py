@@ -136,9 +136,10 @@ def test_empty_order_tracks_first_emptied_variable():
 def test_restrict_masks_only_visible_values():
     net = bool_net("A")
     mask_value(net, "A", "true", "M1")
-    record = restrict(net, "A", ("true",), 7)
-    assert record.masked == [("A", "false")]
-    assert record.emptied == "A"
+    hidden, claimed = restrict(net, "A", ("true",), 7)
+    assert hidden == [("A", "false")]
+    assert claimed == []
+    assert net.empty_order == ["A"]
     # the earlier mask is untouched; only the new one carries cause 7
     assert net.domains["A"].mask["true"] == Counter({"M1": 1})
     assert net.domains["A"].mask["false"] == Counter({7: 1})
@@ -147,9 +148,9 @@ def test_restrict_masks_only_visible_values():
 def test_restrict_can_claim_already_masked_values():
     net = bool_net("A")
     mask_value(net, "A", "true", "M1")
-    record = restrict(net, "A", (), 7, claim_masked=True)
-    assert record.masked == [("A", "false")]
-    assert record.claimed == [("A", "true")]
+    hidden, claimed = restrict(net, "A", (), 7)
+    assert hidden == [("A", "false")]
+    assert claimed == [("A", "true")]
     assert net.domains["A"].mask["true"] == Counter({"M1": 1, 7: 1})
     # the claim holds the exclusion once the original cause is gone
     release(net, "A", "true", "M1")
@@ -165,8 +166,9 @@ def test_restrict_rejects_foreign_values():
 def test_observation_pin_masks_even_masked_values():
     net = bool_net("A")
     mask_value(net, "A", "false", 9)
-    record = restrict(net, "A", ("true",), "M1", claim_masked=True)
-    assert record.masked == []
+    hidden, claimed = restrict(net, "A", ("true",), "M1")
+    assert hidden == []
+    assert claimed == [("A", "false")]
     assert net.domains["A"].mask["false"] == Counter({9: 1, "M1": 1})
     release(net, "A", "false", 9)
     # the pin keeps holding the value hidden

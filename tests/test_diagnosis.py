@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,15 +13,21 @@ from dyncsp import (
     diagnose,
     gate_table,
     generate,
+    propagate,
+    relax,
+    restore,
+    retract_observation,
     run_script,
 )
 from dyncsp.diagnosis import check_consistent
+from dyncsp.dynamics import set_active
 
 from generators import (
     faulty_layered_circuit,
     oracle_structures,
     random_network,
     random_observations,
+    random_sequence,
 )
 from oracles import BOOL, minimal_restoring_sets, oracle_consistent
 
@@ -113,27 +120,86 @@ def network_state(net):
         {fid: firing.status for fid, firing in net.firings.items()},
         dict(net.active_firing),
         {var: set(fids) for var, fids in net.watchers.items()},
-        (list(net.agenda.heap), set(net.agenda.queued)),
-        len(net.events),
+        (list(net.agenda.heap), set(net.agenda.queued), net.agenda.ordered),
+        list(net.empty_order),
+        {oid: obs.active for oid, obs in net.observations.items()},
+        list(net.events),
         net.next_firing_id,
         {cid: c.active for cid, c in net.constraints.items()},
+        None if net.rng is None else net.rng.getstate(),
     )
 
 
-def two_fault_circuit():
+def two_fault_circuit(seed=None):
     """60 gates with G32 and G38 inverted; 8 probes, most nodes reuse a known conflict."""
     spec, inverted = faulty_layered_circuit(0, 10, 60, 12, 2)
     assert inverted == {"G32", "G38"}
-    return build_network(spec)
+    return build_network(spec, seed=seed)
 
 
 def test_diagnosis_restores_the_network_afterwards():
     """Pure also where the search relaxes and restores constraints between
     probes without propagating, and labels nodes by conflicts it reuses."""
-    for net in (twin_inverter_net(), two_fault_circuit()):
+    for net in (twin_inverter_net(), two_fault_circuit(), two_fault_circuit(seed=3)):
         before = network_state(net)
         assert diagnose(net, max_cardinality=2)
         assert network_state(net) == before
+
+
+def test_diagnosis_leaves_a_shuffled_network_on_its_random_stream():
+    """Probes of a seeded network draw agenda entries from its rng, and the
+    rollback restores the rng, so a later relax fires exactly what it fires
+    without the diagnosis."""
+    probed, plain = two_fault_circuit(seed=3), two_fault_circuit(seed=3)
+    diagnose(probed, max_cardinality=1)
+    start = len(plain.events)
+    for net in (probed, plain):
+        relax(net, "G17")
+    fires = [event for event in plain.events[start:] if event[0] == "fire"]
+    assert fires
+    assert [event for event in probed.events[start:] if event[0] == "fire"] == fires
+    assert probed.rng.getstate() == plain.rng.getstate()
+
+
+def _apply_with_deferred_propagation(net, step, rng):
+    """Apply one ``random_sequence`` step; a relax or restore may only toggle."""
+    op, args = step[0], step[1:]
+    if op == "assert":
+        assert_observation(net, Observation(*args))
+    elif op == "retract":
+        retract_observation(net, args[0])
+    elif rng.random() < 0.5:
+        set_active(net, args[0], op == "restore")
+    else:
+        (relax if op == "relax" else restore)(net, args[0])
+    if rng.random() < 0.3:
+        propagate(net)
+
+
+def test_rollback_unwinds_random_operation_sequences_exactly():
+    """After a mark, random asserts, retracts, relaxes, restores and
+    propagation passes roll back to the marked state, the event log
+    included, and replaying the same steps logs the same events again,
+    on plain and on shuffled networks alike."""
+    for seed in range(100):
+        spec = random_network(seed)
+        steps = random_sequence(seed ^ 0xFADE, spec)
+        net = build_network(spec, seed=seed if seed % 2 else None, assert_observations=False)
+        rng = random.Random(seed)
+        cut = rng.randrange(len(steps))
+        for step in steps[:cut]:
+            _apply_with_deferred_propagation(net, step, rng)
+        marked = network_state(net)
+        mark = net.snapshot()
+        runs = []
+        for _ in range(2):
+            rng = random.Random(seed + 1)
+            for step in steps[cut:]:
+                _apply_with_deferred_propagation(net, step, rng)
+            runs.append(network_state(net))
+            net.rollback(mark)
+            assert network_state(net) == marked, seed
+        assert runs[0] == runs[1], seed
 
 
 def test_larger_diagnoses_are_pruned_by_found_subsets(circuit1):

@@ -65,7 +65,7 @@ def test_cancel_firing_is_idempotent():
     record = cancel_firing(net, 1)
     assert record.cancelled
     again = cancel_firing(net, 1)
-    assert not again
+    assert again.cancelled == []
 
 
 def test_cancel_cascades_through_dependent_firings():

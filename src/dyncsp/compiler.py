@@ -17,13 +17,22 @@ Both chain rules on a bit layout: one int holds every domain, with one
 bit per (variable, declared value), and each rule is packed once per
 ``generate`` or ``verify_rules`` call into masks, so a condition test, a
 firing and a shrink test are each one or two integer operations.
+
+Both also read a support table, built once per call from the allowed
+tuples: it maps every consistent partial assignment to the OR of the bits
+of its supporting tuples. That union is the exact projection of each
+unassigned variable, so ``generate`` reads its conclusions from it, and
+``verify_rules`` decides cr1 and cr2 by comparing it with one closure
+per consistent start. When both hold at every start, cr3 follows from
+the chaotic-iteration theorem, and firing orders are sampled only
+otherwise.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import product
 
 from .core import (
     ConditionLiteral,
@@ -181,46 +190,70 @@ def _chain(
     return state
 
 
-def _candidate_assignments(
-    scope: tuple[VariableId, ...], declared: DomainMap, max_size: int
-):
-    """Partial assignments over ``scope``, sizes ascending, canonically ordered.
+def _candidate_assignments(layout: _Layout, max_size: int):
+    """Partial assignments over the layout's scope, sizes ascending, canonically ordered.
 
-    Within one size, candidates sort by the interleaved sequence of
-    (scope position, declared value index) pairs, so the emitted rule
-    order is reproducible across runs and platforms.
+    Within one size, candidates come in the order of their interleaved
+    sequences of (scope position, declared value index) pairs, so the
+    emitted rule order is reproducible across runs and platforms. Each
+    comes as ``(assignment, key, start)``: ``key`` is the OR of its value
+    bits, which indexes the support table, and ``start`` is the state
+    that pins it.
     """
-    n = len(scope)
-    for size in range(max_size + 1):
-        batch = []
-        for positions in combinations(range(n), size):
-            for values in product(*(declared[scope[p]] for p in positions)):
-                key = tuple(
-                    chain.from_iterable(
-                        (p, declared[scope[p]].index(v))
-                        for p, v in zip(positions, values)
-                    )
+    declared = layout.declared
+    scope = tuple(declared)
+
+    def extend(first, size, assignment, key, pinned):
+        if not size:
+            yield assignment, key, layout.full & ~pinned | key
+            return
+        for p in range(first, len(scope) - size + 1):
+            var = scope[p]
+            for value in declared[var]:
+                yield from extend(
+                    p + 1,
+                    size - 1,
+                    {**assignment, var: value},
+                    key | layout.bits[(var, value)],
+                    pinned | layout.fields[var],
                 )
-                batch.append((key, {scope[p]: v for p, v in zip(positions, values)}))
-        batch.sort(key=lambda item: item[0])
-        for _, assignment in batch:
-            yield assignment
+
+    for size in range(max_size + 1):
+        yield from extend(0, size, {}, 0, 0)
 
 
-def _proper_projections(
-    constraint: ExtensionalConstraint,
-    assignment: dict[VariableId, Value],
-    declared: DomainMap,
-) -> tuple[tuple[VariableId, tuple[Value, ...]], ...]:
-    """Projection entries that actually restrict an unassigned variable."""
-    entries = []
-    for var in constraint.scope:
-        if var in assignment:
-            continue
-        proj = projection(constraint, assignment, var)
-        if proj and proj != frozenset(declared[var]):
-            entries.append((var, tuple(v for v in declared[var] if v in proj)))
-    return tuple(entries)
+def _support_table(
+    constraint: ExtensionalConstraint, layout: _Layout
+) -> tuple[dict[int, int], dict[VariableId, int]]:
+    """The support table of ``constraint`` and the fields it is read with.
+
+    The table maps every consistent partial assignment, keyed by the OR of
+    its value bits, to the OR of the bits of all its supporting tuples.
+    That union holds the exact projection of each unassigned variable and
+    every value a sound rule set must keep. A tuple value outside the
+    declared domains gets a bit of its own above ``layout.full``, so the
+    union still shows it; the fields returned include those bits.
+    """
+    if len(layout.declared) != len(constraint.scope):
+        raise ValueError(f"constraint {constraint.id!r} repeats a scope variable")
+    bits = dict(layout.bits)
+    fields = dict(layout.fields)
+    table: dict[int, int] = {}
+    for row in constraint.allowed:
+        row_bits = []
+        for var, value in zip(constraint.scope, row):
+            bit = bits.get((var, value))
+            if bit is None:
+                bit = bits[(var, value)] = 1 << len(bits)
+                fields[var] |= bit
+            row_bits.append(bit)
+        keys = [0]
+        for bit in row_bits:
+            keys += [key | bit for key in keys]
+        union = keys[-1]  # every bit of the row
+        for key in keys:
+            table[key] = table.get(key, 0) | union
+    return table, fields
 
 
 def _establishes(packed: list[_Packed], start: int, keep: int) -> bool:
@@ -235,14 +268,21 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
         if var not in declared:
             raise ValueError(f"no declared domain for scope variable {var!r}")
     layout = _Layout({var: declared[var] for var in scope})
+    table, fields = _support_table(constraint, layout)
     packed: list[_Packed] = []
-    for assignment in _candidate_assignments(scope, declared, len(scope) - 1):
-        if not supporting_tuples(constraint, assignment):
+    for assignment, key, start in _candidate_assignments(layout, len(scope) - 1):
+        union = table.get(key)
+        if union is None:
             continue
-        conclusions = _proper_projections(constraint, assignment, declared)
+        # the projections that actually restrict an unassigned variable
+        conclusions = tuple(
+            (var, tuple(v for v in declared[var] if union & layout.bits[(var, v)]))
+            for var in scope
+            if var not in assignment and union & fields[var] != layout.fields[var]
+        )
         if not conclusions:
             continue
-        if _establishes(packed, layout.pin(assignment), layout.keep(conclusions)):
+        if _establishes(packed, start, layout.keep(conclusions)):
             continue
         index = len(packed) + 1
         rule = PropagationRule(
@@ -343,41 +383,63 @@ def verify_rules(
     orders: int = 10,
     seed: int = 0,
 ) -> VerificationReport:
-    """Check a rule set against its constraint; failures carry witnesses."""
+    """Check a rule set against its constraint; failures carry witnesses.
+
+    One closure per consistent start decides cr1 and cr2 against the
+    support table. If both hold at every consistent start, no closure
+    empties a domain, so every firing order reaches the same fixpoint
+    (Apt, "The essence of constraint propagation", 1999) and cr3 holds
+    without sampling. Only otherwise does cr3 try ``orders`` firing orders
+    per start, drawn from ``seed``.
+    """
     scope = constraint.scope
     layout = _Layout({var: tuple(declared[var]) for var in scope})
     packed = layout.pack(rules)
-    consistent = [
-        a
-        for a in _candidate_assignments(scope, layout.declared, len(scope))
-        if supporting_tuples(constraint, a)
-    ]
+    table, fields = _support_table(constraint, layout)
+    cr1 = cr2 = None
+    for assignment, key, start in _candidate_assignments(layout, len(scope)):
+        union = table.get(key)
+        if union is None:
+            continue
+        state = _chain(packed, start)
+        if state == union:
+            continue
+        assigned = layout.full & ~start | key  # the fields of the assigned variables
+        moved = (state ^ union) & ~assigned
+        if not cr1 and moved:
+            var = next(var for var in scope if moved & fields[var])
+            cr1 = CriterionResult(
+                False,
+                {
+                    "start": dict(assignment),
+                    "variable": var,
+                    "expected": sorted(projection(constraint, assignment, var)),
+                    "actual": sorted(layout.values(state, var)),
+                },
+            )
+        if not cr2 and union & ~state:
+            cr2 = _unsound(packed, constraint, layout, assignment, start)
+        if cr1 and cr2:
+            break
+    if cr1 or cr2:
+        consistent = [
+            assignment
+            for assignment, key, _ in _candidate_assignments(layout, len(scope))
+            if key in table
+        ]
+        cr3 = _check_confluence(packed, layout, consistent, orders, seed)
+    else:
+        cr3 = CriterionResult(True)
     return VerificationReport(
-        cr1=_check_exactness(packed, constraint, layout, consistent),
-        cr2=_check_soundness(packed, constraint, layout, consistent),
-        cr3=_check_confluence(packed, layout, consistent, orders, seed),
+        cr1=cr1 or _check_forbidden(packed, constraint, layout),
+        cr2=cr2 or CriterionResult(True),
+        cr3=cr3,
         cr4=_check_irredundancy(packed, layout),
     )
 
 
-def _check_exactness(packed, constraint, layout, consistent) -> CriterionResult:
-    for assignment in consistent:
-        state = _chain(packed, layout.pin(assignment))
-        for var in constraint.scope:
-            if var in assignment:
-                continue
-            expected = projection(constraint, assignment, var)
-            actual = layout.values(state, var)
-            if actual != expected:
-                return CriterionResult(
-                    False,
-                    {
-                        "start": dict(assignment),
-                        "variable": var,
-                        "expected": sorted(expected),
-                        "actual": sorted(actual),
-                    },
-                )
+def _check_forbidden(packed, constraint, layout) -> CriterionResult:
+    """The rest of cr1: chaining from a forbidden full assignment empties a domain."""
     for values in product(*(layout.declared[var] for var in constraint.scope)):
         if values in constraint.allowed:
             continue
@@ -394,27 +456,30 @@ def _check_exactness(packed, constraint, layout, consistent) -> CriterionResult:
     return CriterionResult(True)
 
 
-def _check_soundness(packed, constraint, layout, consistent) -> CriterionResult:
-    pos = {var: i for i, var in enumerate(constraint.scope)}
-    for assignment in consistent:
-        removed_by: dict[int, str] = {}
-        state = _chain(packed, layout.pin(assignment), removed_by=removed_by)
-        for support in supporting_tuples(constraint, assignment):
-            for var in constraint.scope:
-                value = support[pos[var]]
-                bit = layout.bits.get((var, value), 0)
-                if not state & bit:
-                    return CriterionResult(
-                        False,
-                        {
-                            "start": dict(assignment),
-                            "tuple": list(support),
-                            "variable": var,
-                            "value": value,
-                            "rule": removed_by.get(bit),
-                        },
-                    )
-    return CriterionResult(True)
+def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
+    """The cr2 witness at a start whose closure removes a supported value.
+
+    It names the first supporting tuple, in sorted order, and its first
+    removed value in scope order, with the rule whose firing removed it.
+    """
+    removed_by: dict[int, str] = {}
+    state = _chain(packed, start, removed_by=removed_by)
+    support, var, value = next(
+        (support, var, value)
+        for support in supporting_tuples(constraint, assignment)
+        for var, value in zip(constraint.scope, support)
+        if not state & layout.bits.get((var, value), 0)
+    )
+    return CriterionResult(
+        False,
+        {
+            "start": dict(assignment),
+            "tuple": list(support),
+            "variable": var,
+            "value": value,
+            "rule": removed_by.get(layout.bits.get((var, value))),
+        },
+    )
 
 
 def _check_confluence(packed, layout, consistent, orders, seed) -> CriterionResult:

@@ -7,9 +7,10 @@ engine fixpoint, dynamic and randomized-order equivalences, diagnosis
 completeness, and desk-scale performance.
 """
 
+import random
 import time
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from dyncsp import (
     ExtensionalConstraint,
@@ -31,7 +32,7 @@ from dyncsp import (
     run_script,
     verify_rules,
 )
-from dyncsp import diagnosis, engine, runner
+from dyncsp import compiler, diagnosis, engine, runner
 from dyncsp.compiler import rename_rules
 
 from generators import (
@@ -491,3 +492,35 @@ def test_criterion_9_diagnosis_probes_only_where_no_known_conflict_decides(monke
     # G32 and G38 are the inverted gates
     assert [sorted(d.constraints) for d in result] == [["G28", "G38"], ["G32", "G38"]]
     assert probes <= 16
+
+
+def test_criterion_9_verify_chains_once_per_start(monkeypatch):
+    """Verifying the rules of a random arity-5 table over three values runs
+    the chaining kernel at most once per consistent start, once per
+    forbidden full assignment and once per rule (cr4): 854 + 122 + 256
+    here. Sampling ten firing orders per start for cr3, and chaining
+    separately for cr1 and cr2, ran it 11 480 times."""
+    domain = ("a", "b", "c")
+    scope = tuple(f"V{i}" for i in range(1, 6))
+    universe = list(product(domain, repeat=5))
+    rows = frozenset(random.Random(5).sample(universe, len(universe) // 2))
+    constraint = ExtensionalConstraint("T", "table", scope, rows)
+    declared = dict.fromkeys(scope, domain)
+    rules = generate(constraint, declared).rules
+    consistent = {
+        frozenset(zip(positions, (row[p] for p in positions)))
+        for row in rows
+        for size in range(6)
+        for positions in combinations(range(5), size)
+    }
+    chains = 0
+    original = compiler._chain
+
+    def counted(*args, **kwargs):
+        nonlocal chains
+        chains += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(compiler, "_chain", counted)
+    assert verify_rules(rules, constraint, declared).passed
+    assert chains <= len(consistent) + len(universe) - len(rows) + len(rules)

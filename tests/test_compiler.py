@@ -1,11 +1,19 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncsp import ExtensionalConstraint, dump_rules, gate_table, generate, verify_rules
-from dyncsp.compiler import closure, format_rule, projection
+from dyncsp.compiler import (
+    _candidate_assignments,
+    _check_confluence,
+    _Layout,
+    closure,
+    format_rule,
+    projection,
+    supporting_tuples,
+)
 from dyncsp.core import ConditionLiteral, PropagationRule
 
 from generators import random_table
@@ -375,3 +383,136 @@ def test_rule_dump_round_trips_values_in_declared_order():
     text = dump_rules(rules)
     # multi-value conclusions list values in declared domain order
     assert "in {green,blue}" in text or "in {red,green}" in text or "in {red,blue}" in text
+
+
+def test_tuple_values_outside_the_declared_domain_stay_visible():
+    """The parser rejects such tables, but ``generate`` and ``verify_rules``
+    take them: ``maybe`` is part of the projection, so cr1 and cr2 fail."""
+    rows = {("true", "true"), ("maybe", "false"), ("false", "false")}
+    c = table_constraint("T", ("A", "B"), rows)
+    decl = {"A": BOOL, "B": BOOL}
+    rules = generate(c, decl).rules
+    assert dump_rules(rules) == """\
+R1: IF A=false THEN B in {false}
+R2: IF A=true THEN B in {true}
+R3: IF B=false THEN A in {false}
+R4: IF B=true THEN A in {true}"""
+    report = verify_rules(rules, c, decl)
+    assert report.cr1.witness == {
+        "start": {},
+        "variable": "A",
+        "expected": ["false", "maybe", "true"],
+        "actual": ["false", "true"],
+    }
+    assert report.cr2.witness == {
+        "start": {},
+        "tuple": ["maybe", "false"],
+        "variable": "A",
+        "value": "maybe",
+        "rule": None,
+    }
+    assert report.cr3.passed and report.cr4.passed
+
+
+def test_a_scope_that_repeats_a_variable_is_rejected():
+    """Its support table would merge two positions into one variable."""
+    c = table_constraint("T", ("A", "A"), {("a", "b"), ("b", "b")})
+    decl = {"A": ("a", "b")}
+    with pytest.raises(ValueError, match="repeats a scope variable"):
+        generate(c, decl)
+    with pytest.raises(ValueError, match="repeats a scope variable"):
+        verify_rules([], c, decl)
+
+
+@st.composite
+def mutated_rule_sets(draw):
+    """A random table with its generated rules, some dropped and some random ones added.
+
+    Arity 1-4, each domain of 2 or 3 values; added rules condition and
+    conclude on declared values only.
+    """
+    scope = ("V1", "V2", "V3", "V4")[: draw(st.integers(1, 4))]
+    declared = {
+        var: draw(st.sampled_from((("a", "b"), ("a", "b", "c"), ("x", "y", "z")))) for var in scope
+    }
+    universe = list(product(*(declared[var] for var in scope)))
+    keep = draw(st.lists(st.booleans(), min_size=len(universe), max_size=len(universe)))
+    rows = {row for row, kept in zip(universe, keep) if kept} or {universe[0]}
+    c = table_constraint("T", scope, rows)
+    rules = list(generate(c, declared).rules)
+    dropped = draw(st.sets(st.integers(0, max(len(rules) - 1, 0)), max_size=2))
+    rules = [rule for i, rule in enumerate(rules) if i not in dropped]
+    for k in range(draw(st.integers(0, 2))):
+        conditions = draw(st.sets(st.sampled_from(scope), max_size=len(scope) - 1))
+        concluded = draw(st.sets(st.sampled_from(scope), min_size=1))
+        rule = PropagationRule(
+            f"T.X{k}",
+            "T",
+            100 + k,
+            tuple(
+                ConditionLiteral(var, draw(st.sampled_from(declared[var])))
+                for var in sorted(conditions)
+            ),
+            tuple(
+                (var, tuple(v for v in declared[var] if draw(st.booleans())))
+                for var in sorted(concluded)
+            ),
+        )
+        rules.insert(draw(st.integers(0, len(rules))), rule)
+    return c, declared, rules
+
+
+def brute_cr1_cr2(c, declared, rules):
+    """cr1 and cr2 by plain set chaining from every partial assignment."""
+    raw = [(list(rule.conditions), list(rule.conclusions)) for rule in rules]
+    pos = {var: i for i, var in enumerate(c.scope)}
+    exact = sound = True
+    for size in range(len(c.scope) + 1):
+        for variables in combinations(c.scope, size):
+            for values in product(*(declared[var] for var in variables)):
+                start = dict(zip(variables, values))
+                supports = [
+                    row for row in c.allowed if all(row[pos[v]] == val for v, val in start.items())
+                ]
+                doms = chained_fixpoint(declared, raw, start)
+                if not supports:
+                    if size == len(c.scope) and all(doms.values()):
+                        exact = False
+                    continue
+                for var in c.scope:
+                    if var not in start and doms[var] != brute_projection(
+                        c.scope, c.allowed, start, var
+                    ):
+                        exact = False
+                sound &= all(row[pos[var]] in doms[var] for row in supports for var in c.scope)
+    return exact, sound
+
+
+@settings(deadline=None, max_examples=80)
+@given(mutated_rule_sets())
+@example(
+    (
+        table_constraint("C", ("A", "B", "C"), {("true", "true", "true")}),
+        {"A": BOOL, "B": BOOL, "C": BOOL},
+        [  # the racing pair of test_order_dependent_rule_set_fails_confluence
+            PropagationRule("C.R1", "C", 1, (ConditionLiteral("A", "true"),), (("B", ("false",)),)),
+            PropagationRule("C.R2", "C", 2, (ConditionLiteral("B", "true"),), (("C", ("false",)),)),
+        ],
+    )
+)
+def test_sampled_confluence_fails_only_where_cr1_or_cr2_fails(case):
+    """cr3 is decided by the chaotic-iteration theorem once cr1 and cr2 hold,
+    so a failing sampled order must come with a cr1 or cr2 failure."""
+    c, declared, rules = case
+    report = verify_rules(rules, c, declared)
+    assert (report.cr1.passed, report.cr2.passed) == brute_cr1_cr2(c, declared, rules)
+    layout = _Layout(declared)
+    consistent = [
+        assignment
+        for assignment, _, _ in _candidate_assignments(layout, len(c.scope))
+        if supporting_tuples(c, assignment)
+    ]
+    sampled = _check_confluence(layout.pack(rules), layout, consistent, 10, 0)
+    if not sampled.passed:
+        assert not (report.cr1.passed and report.cr2.passed)
+        assert report.cr3 == sampled

@@ -36,7 +36,6 @@ from itertools import product
 
 from .core import (
     ConditionLiteral,
-    ConstraintId,
     ExtensionalConstraint,
     PropagationRule,
     RuleSet,
@@ -306,34 +305,6 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
         for i, rule in enumerate(_minimize(packed, layout), start=1)
     )
     return RuleSet(owner=constraint.id, rules=final)
-
-
-def rename_rules(
-    ruleset: RuleSet, renaming: dict[VariableId, VariableId], owner: ConstraintId
-) -> RuleSet:
-    """``ruleset`` with its variables renamed and its rules given to ``owner``.
-
-    ``generate`` depends only on scope positions and declared value order,
-    so renaming the rules of one constraint, position by position, gives
-    exactly what ``generate`` would emit for another constraint with the
-    same allowed tuples and the same declared domains at each position.
-    """
-    return RuleSet(
-        owner=owner,
-        rules=tuple(
-            PropagationRule(
-                id=f"{owner}.R{rule.index}",
-                owner=owner,
-                index=rule.index,
-                conditions=tuple(
-                    ConditionLiteral(renaming[lit.variable], lit.value)
-                    for lit in rule.conditions
-                ),
-                conclusions=tuple((renaming[var], vals) for var, vals in rule.conclusions),
-            )
-            for rule in ruleset.rules
-        ),
-    )
 
 
 def _minimize(packed: list[_Packed], layout: _Layout) -> list[PropagationRule]:

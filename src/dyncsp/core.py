@@ -14,8 +14,8 @@ Each network also keeps an agenda that holds every rule that may be
 applicable. Every mutation that can make a rule applicable queues it: a
 mask or release that leaves a condition variable instantiated, the
 release of a value that a rule's conclusion excludes, a new or restored
-constraint. Propagation drains the agenda instead of rescanning every
-rule.
+constraint (only its rules whose conditions hold already). Propagation
+drains the agenda instead of rescanning every rule.
 """
 
 from __future__ import annotations
@@ -128,6 +128,82 @@ class RuleSet:
     rules: tuple[PropagationRule, ...]
 
 
+class RuleTemplate:
+    """The rules compiled for ``owner``, validated once, for every constraint of its shape.
+
+    A shape is the allowed tuples plus the declared values at each scope
+    position, and compiling depends on nothing else, so :meth:`bind` gives
+    another constraint of the shape exactly the rules ``generate`` would.
+    ``conditioned[p][v]`` and ``excluding[p][v]`` list the indices of the
+    rules that test value v at scope position p and whose conclusions
+    exclude it there; ``unconditional`` those that test nothing.
+    """
+
+    def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
+        cid, scope = constraint.id, constraint.scope
+        if len(set(scope)) != len(scope):
+            raise ValueError(f"constraint {cid!r} repeats a scope variable")
+        if not constraint.allowed:
+            raise ValueError(f"constraint {cid!r} allows no tuples")
+        for tup in constraint.allowed:
+            if len(tup) != len(scope):
+                raise ValueError(f"constraint {cid!r} has a tuple of wrong arity: {tup!r}")
+            for var, value, declared in zip(scope, tup, domains):
+                if value not in declared:
+                    raise ValueError(
+                        f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
+                    )
+        self.owner, self.scope, self.allowed = cid, scope, constraint.allowed
+        self.domains, self.rules = domains, rules
+        self.conditioned: list[dict[Value, list[int]]] = [{} for _ in scope]
+        self.excluding: list[dict[Value, list[int]]] = [{} for _ in scope]
+        self.unconditional = [rule.index for rule in rules if not rule.conditions]
+        position = {var: p for p, var in enumerate(scope)}
+        seen: set[RuleId] = set()
+        for index, rule in enumerate(rules, start=1):
+            if rule.id in seen:
+                raise ValueError(f"rule id {rule.id!r} already registered")
+            if rule.index != index:
+                raise ValueError(f"rule {rule.id!r} has index {rule.index}, not {index}")
+            if rule.owner != cid:
+                raise ValueError(f"rule {rule.id!r} of {rule.owner!r} attached to {cid!r}")
+            seen.add(rule.id)
+            for var, value in (*rule.conditions, *((v, x) for v, xs in rule.conclusions for x in xs)):
+                if var not in position:
+                    raise ValueError(f"rule {rule.id!r} uses {var!r}, outside the scope of {cid!r}")
+                if value not in domains[position[var]]:
+                    raise ValueError(
+                        f"rule {rule.id!r} names value {value!r} outside the domain of {var!r}"
+                    )
+            for var, value in rule.conditions:
+                self.conditioned[position[var]].setdefault(value, []).append(index)
+            for var, vals in rule.conclusions:
+                for value in domains[position[var]]:
+                    if value not in vals:
+                        self.excluding[position[var]].setdefault(value, []).append(index)
+
+    def bind(self, owner: ConstraintId, scope: tuple[VariableId, ...]) -> tuple[PropagationRule, ...]:
+        """The rules of ``owner``, a constraint of this shape over ``scope``."""
+        if (owner, scope) == (self.owner, self.scope):
+            return self.rules
+        rename = dict(zip(self.scope, scope))
+        literals = {
+            (var, v): ConditionLiteral(rename[var], v)
+            for var, dom in zip(self.scope, self.domains)
+            for v in dom
+        }
+        return tuple(
+            PropagationRule(
+                f"{owner}.R{rule.index}",
+                owner,
+                rule.index,
+                tuple([literals[lit] for lit in rule.conditions]),
+                tuple([(rename[var], vals) for var, vals in rule.conclusions]),
+            )
+            for rule in self.rules
+        )
+
+
 @dataclass
 class Observation:
     """A measured instantiation of one variable."""
@@ -218,11 +294,11 @@ class Network:
     constraint; ``rng`` switches rule selection to a randomized order (a
     test mode for exercising confluence).
 
-    ``rule_watch`` maps a condition literal to the rules that test it;
-    ``conclusion_watch`` maps a (variable, value) pair to the rules whose
-    conclusions exclude that value. Together with the constraint's own
-    rule list they say which rules a mutation can make applicable, and
-    ``agenda`` holds every rule that may be applicable right now.
+    ``templates`` maps a constraint to the rule template it was bound
+    from, which constraints of one shape share, and ``occurrences`` maps
+    a variable to its (constraint, scope position) pairs. Together they
+    say which rules a mutation can make applicable, and ``agenda`` holds
+    every rule that may be applicable right now.
 
     ``events`` is the trail: every change to masks, firings, observations
     and constraint flags appends one event, and :meth:`rollback` undoes
@@ -236,8 +312,8 @@ class Network:
         self.constraints: dict[ConstraintId, ExtensionalConstraint] = {}
         self.rules: dict[ConstraintId, tuple[PropagationRule, ...]] = {}
         self.rule_index: dict[RuleId, PropagationRule] = {}
-        self.rule_watch: dict[ConditionLiteral, list[AgendaEntry]] = {}
-        self.conclusion_watch: dict[tuple[VariableId, Value], list[AgendaEntry]] = {}
+        self.templates: dict[ConstraintId, RuleTemplate] = {}
+        self.occurrences: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
         self.agenda = Agenda()
         self.observations: dict[ObservationId, Observation] = {}
         self.firings: dict[FiringId, Firing] = {}
@@ -261,56 +337,42 @@ class Network:
         self.domains[name] = dom
         return dom
 
-    def add_constraint(self, constraint: ExtensionalConstraint, ruleset: RuleSet) -> None:
-        """Register a constraint and its rules, checking everything first.
+    def add_constraint(self, constraint: ExtensionalConstraint, rules: RuleSet | RuleTemplate):
+        """Register a constraint with its rules, checking everything first.
 
-        A rejected call raises ``ValueError`` and leaves the network as it was.
+        ``rules`` is the constraint's own rule set, validated here, or a
+        template of its shape, validated when it was made. A rejected call
+        raises ``ValueError`` and leaves the network as it was.
         """
-        cid = constraint.id
+        cid, scope = constraint.id, constraint.scope
         if cid in self.constraints:
             raise ValueError(f"constraint {cid!r} already declared")
-        if ruleset.owner != cid:
-            raise ValueError(f"rule set for {ruleset.owner!r} attached to {cid!r}")
-        scope = constraint.scope
         if len(set(scope)) != len(scope):
             raise ValueError(f"constraint {cid!r} repeats a scope variable")
         for var in scope:
             if var not in self.domains:
                 raise ValueError(f"constraint {cid!r} uses undeclared variable {var!r}")
-        if not constraint.allowed:
-            raise ValueError(f"constraint {cid!r} allows no tuples")
-        for tup in constraint.allowed:
-            if len(tup) != len(scope):
-                raise ValueError(f"constraint {cid!r} has a tuple of wrong arity: {tup!r}")
-            for var, value in zip(scope, tup):
-                if value not in self.domains[var].declared:
-                    raise ValueError(
-                        f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
-                    )
-        seen: set[RuleId] = set()
-        for position, rule in enumerate(ruleset.rules, start=1):
-            if rule.id in self.rule_index or rule.id in seen:
-                raise ValueError(f"rule id {rule.id!r} already registered")
-            if rule.index != position:
-                raise ValueError(f"rule {rule.id!r} has index {rule.index}, not {position}")
-            if rule.owner != cid:
-                raise ValueError(f"rule {rule.id!r} of {rule.owner!r} attached to {cid!r}")
-            seen.add(rule.id)
-            used = {lit.variable for lit in rule.conditions} | {var for var, _ in rule.conclusions}
-            if not used <= self.domains.keys():
-                raise ValueError(f"rule {rule.id!r} uses an undeclared variable")
+        domains = tuple(self.domains[var].declared for var in scope)
+        if isinstance(rules, RuleSet):
+            if rules.owner != cid:
+                raise ValueError(f"rule set for {rules.owner!r} attached to {cid!r}")
+            rules = RuleTemplate(constraint, domains, self._unregistered(rules.rules))
+        elif rules.domains != domains or rules.allowed != constraint.allowed:
+            raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
+        bound = self._unregistered(rules.bind(cid, scope))
         self.constraints[cid] = constraint
-        self.rules[cid] = ruleset.rules
-        for rule in ruleset.rules:
-            self.rule_index[rule.id] = rule
-            entry = (cid, rule.index)
-            for lit in rule.conditions:
-                self.rule_watch.setdefault(lit, []).append(entry)
-            for var, vals in rule.conclusions:
-                for value in self.domains[var].declared:
-                    if value not in vals:
-                        self.conclusion_watch.setdefault((var, value), []).append(entry)
+        self.rules[cid] = bound
+        self.templates[cid] = rules
+        self.rule_index.update((rule.id, rule) for rule in bound)
+        for position, var in enumerate(scope):
+            self.occurrences.setdefault(var, []).append((cid, position))
         self.queue_rules(cid)
+
+    def _unregistered(self, rules: tuple[PropagationRule, ...]) -> tuple[PropagationRule, ...]:
+        for rule in rules:
+            if rule.id in self.rule_index:
+                raise ValueError(f"rule id {rule.id!r} already registered")
+        return rules
 
     def domain(self, variable: VariableId) -> FiniteDomain:
         dom = self.domains.get(variable)
@@ -331,8 +393,23 @@ class Network:
         return rule
 
     def queue_rules(self, constraint_id: ConstraintId) -> None:
-        """Put every rule of one constraint on the agenda."""
-        self.agenda.push((constraint_id, rule.index) for rule in self.rules[constraint_id])
+        """Queue the rules of one constraint whose conditions all hold now.
+
+        Any other rule is queued by its watches when one of its conditions
+        comes to hold, so at the latest with its last; a fresh constraint
+        queues only its unconditional rules.
+        """
+        template, rules = self.templates[constraint_id], self.rules[constraint_id]
+        ready = list(template.unconditional)
+        for position, var in enumerate(self.constraints[constraint_id].scope):
+            dom = self.domains[var]
+            if dom.visible_count() == 1:
+                ready += template.conditioned[position].get(dom.visible()[0], ())
+        self.agenda.push(
+            (constraint_id, i)
+            for i in ready
+            if all(is_instantiated(self, *lit) for lit in rules[i - 1].conditions)
+        )
 
     def first_empty(self) -> VariableId | None:
         return self.empty_order[0] if self.empty_order else None
@@ -427,14 +504,18 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
         if variable in network.empty_order:
             network.empty_order.remove(variable)
         _queue_instantiated(network, dom)
-    network.agenda.push(network.conclusion_watch.get((variable, value), ()))
+    for cid, position in network.occurrences.get(variable, ()):
+        excluding = network.templates[cid].excluding[position].get(value, ())
+        network.agenda.push((cid, i) for i in excluding)
     return True
 
 
 def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
     """Queue the rules whose condition on ``dom`` holds now that one value is left."""
     (value,) = dom.visible()
-    network.agenda.push(network.rule_watch.get(ConditionLiteral(dom.variable, value), ()))
+    for cid, position in network.occurrences.get(dom.variable, ()):
+        conditioned = network.templates[cid].conditioned[position].get(value, ())
+        network.agenda.push((cid, i) for i in conditioned)
 
 
 def restrict(

@@ -4,9 +4,9 @@ Cancelling a firing releases exactly the masks it justified, then
 cascades to any active firing left unfounded: a value its condition
 needs hidden became visible again, or is now hidden only by firings
 younger than itself. Relaxing a constraint cancels the firings of its
-rules; restoring it reactivates the rules and queues them on the
-agenda, so propagation re-derives their consequences from the current
-state. No operation ever recomputes the network from scratch.
+rules; restoring it reactivates the rules and queues those whose
+conditions hold, so propagation re-derives their consequences from the
+current state. No operation ever recomputes the network from scratch.
 """
 
 from __future__ import annotations
@@ -89,7 +89,8 @@ def set_active(network: Network, constraint_id: ConstraintId, active: bool) -> N
     """Relax or restore a constraint without propagating.
 
     Relaxing deactivates the constraint and cancels the firings of its
-    rules; restoring reactivates it and queues its rules on the agenda.
+    rules; restoring reactivates it and queues its rules whose conditions
+    hold (the others wait for their watches).
     The next propagation pass re-derives what either change allows, so a
     caller that toggles several constraints propagates once.
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .core import BOOL_DOMAIN, Value
@@ -26,8 +27,9 @@ _EVAL = {
 }
 
 
+@cache
 def gate_table(kind: str, arity: int) -> frozenset[tuple[Value, ...]]:
-    """Allowed (inputs..., output) tuples of a gate, as domain tokens."""
+    """Allowed (inputs..., output) tuples of a gate; one shared frozenset per kind."""
     if kind not in GATES:
         raise ValueError(f"unknown gate kind {kind!r}")
     if arity != GATES[kind]:

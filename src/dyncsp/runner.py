@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .compiler import dump_rules, generate, rename_rules
-from .core import ExtensionalConstraint, Network, Observation
+from .compiler import dump_rules, generate
+from .core import ExtensionalConstraint, Network, Observation, RuleTemplate
 from .diagnosis import diagnose
 from .dynamics import relax, restore, retract_observation
 from .engine import (
@@ -40,32 +40,29 @@ def build_network(
 
     Gates and tables take one path: each is an extensional constraint,
     and constraints of one shape (the allowed tuples plus the declared
-    values at each scope position) are compiled once per call and renamed
-    after. A scope that repeats a variable is compiled on its own, because
-    variable names do not identify its positions. With
-    ``assert_observations`` the observations declared in ``spec`` are
-    asserted (and propagated) in declaration order. A ``seed`` switches
-    propagation to randomized rule selection.
+    values at each scope position) are compiled once per call into a rule
+    template that each of them binds. A scope that repeats a variable is
+    compiled on its own, because variable names do not identify its
+    positions. With ``assert_observations`` the observations declared in
+    ``spec`` are asserted (and propagated) in declaration order. A
+    ``seed`` switches propagation to randomized rule selection.
     """
     rng = random.Random(seed) if seed is not None else None
     network = Network(short_circuit=short_circuit, rng=rng)
-    declared = {}
     for v in spec.variables:
         network.add_variable(v.name, v.domain)
-        declared[v.name] = v.domain
-    shapes: dict = {}  # shape -> (first scope compiled, its rules)
+    templates: dict = {}  # shape -> its rule template
     for constraint in _constraints(spec):
         scope = constraint.scope
-        domains = tuple(declared[v] for v in scope)
+        domains = tuple(network.domains[v].declared for v in scope)
         if len(set(scope)) < len(scope):
-            ruleset = generate(constraint, dict(zip(scope, domains)))
+            rules = generate(constraint, dict(zip(scope, domains)))
         else:
-            key = (constraint.allowed, domains)
-            if key not in shapes:
-                shapes[key] = (scope, generate(constraint, dict(zip(scope, domains))))
-            first, rules = shapes[key]
-            ruleset = rename_rules(rules, dict(zip(first, scope)), constraint.id)
-        network.add_constraint(constraint, ruleset)
+            rules = templates.get((constraint.allowed, domains))
+            if rules is None:
+                compiled = generate(constraint, dict(zip(scope, domains))).rules
+                rules = templates[constraint.allowed, domains] = RuleTemplate(constraint, domains, compiled)
+        network.add_constraint(constraint, rules)
     if assert_observations:
         for o in spec.observations:
             assert_observation(network, Observation(o.id, o.variable, o.value))

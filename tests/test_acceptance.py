@@ -33,7 +33,7 @@ from dyncsp import (
     verify_rules,
 )
 from dyncsp import compiler, diagnosis, engine, runner
-from dyncsp.compiler import rename_rules
+from dyncsp.core import RuleTemplate
 
 from generators import (
     faulty_layered_circuit,
@@ -384,18 +384,18 @@ def test_criterion_9_chain_performance():
 def _inverter_chain(length):
     """V0 -> V1 -> ... -> V<length> through ``not`` gates N1..N<length>.
 
-    One gate is compiled and its rules are renamed for the others, which
-    keeps a 10 000-gate chain cheap to build.
+    One gate is compiled into a rule template that every gate binds,
+    which keeps a 10 000-gate chain cheap to build.
     """
     table = gate_table("not", 1)
-    template = generate(ExtensionalConstraint("N", "not", ("A", "B"), table), {"A": BOOL, "B": BOOL})
+    gate = ExtensionalConstraint("N", "not", ("A", "B"), table)
+    template = RuleTemplate(gate, (BOOL, BOOL), generate(gate, {"A": BOOL, "B": BOOL}).rules)
     net = Network()
     net.add_variable("V0")
     for i in range(1, length + 1):
         net.add_variable(f"V{i}")
         cid, scope = f"N{i}", (f"V{i - 1}", f"V{i}")
-        rules = rename_rules(template, dict(zip(("A", "B"), scope)), cid)
-        net.add_constraint(ExtensionalConstraint(cid, "not", scope, table), rules)
+        net.add_constraint(ExtensionalConstraint(cid, "not", scope, table), template)
     return net
 
 
@@ -420,6 +420,18 @@ def test_criterion_9_rollback_costs_what_changed():
     assert peak < 256 * 1024
 
 
+def _identical_and_gates():
+    """1000 ``and`` gates, G<i> driving V<2i+2> from V<2i> and V<2i+1>."""
+    names = [f"V{i}" for i in range(2001)]
+    return NetworkSpec(
+        variables=tuple(VariableDecl(name, BOOL) for name in names),
+        gates=tuple(
+            GateDecl(f"G{i}", "and", (names[2 * i], names[2 * i + 1]), names[2 * i + 2])
+            for i in range(1000)
+        ),
+    )
+
+
 def test_criterion_9_identical_gates_compile_once(monkeypatch):
     """Building 1000 identical ``and`` gates runs the compiler once."""
     calls = 0
@@ -431,17 +443,40 @@ def test_criterion_9_identical_gates_compile_once(monkeypatch):
         return original(constraint, declared)
 
     monkeypatch.setattr(runner, "generate", counted)
-    names = [f"V{i}" for i in range(2001)]
-    spec = NetworkSpec(
-        variables=tuple(VariableDecl(name, BOOL) for name in names),
-        gates=tuple(
-            GateDecl(f"G{i}", "and", (names[2 * i], names[2 * i + 1]), names[2 * i + 2])
-            for i in range(1000)
-        ),
-    )
-    net = build_network(spec)
+    net = build_network(_identical_and_gates())
     assert calls == 1
     assert len(net.rule_index) == 6000
+
+
+def test_criterion_9_a_build_queues_only_rules_that_can_fire():
+    """A fresh network queues only its unconditional rules, and gates have
+    none: building 1000 ``and`` gates or a 10 000-gate ``not`` chain leaves
+    the agenda empty. Queuing every new constraint's rules left 6000 and
+    40 000 entries, which the first assert then had to check."""
+    net = build_network(_identical_and_gates(), assert_observations=False)
+    assert len(net.agenda) == 0
+    net = _inverter_chain(10_000)
+    assert len(net.agenda) == 0
+
+
+def test_criterion_9_first_assert_checks_few_rules_per_firing(monkeypatch):
+    """The first assert on a 10 000-gate chain fires 10 000 rules and checks
+    at most 3 rules per firing: each pin queues the rules that test the
+    pinned literal. Draining rules queued at build time checked 59 922."""
+    net = _inverter_chain(10_000)
+    checks = 0
+    original = engine.rule_applicable
+
+    def counted(network, rule):
+        nonlocal checks
+        checks += 1
+        return original(network, rule)
+
+    monkeypatch.setattr(engine, "rule_applicable", counted)
+    out = assert_observation(net, Observation("M1", "V0", "true"))
+    assert out.status == "fixpoint"
+    assert len(out.fired) == 10_000
+    assert checks <= 3 * len(out.fired)
 
 
 def test_criterion_9_chain_work_is_proportional_to_the_change(monkeypatch):

@@ -1,13 +1,32 @@
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncsp import BOOL_DOMAIN, ExtensionalConstraint, Network, gate_table, generate
-from dyncsp.core import RuleSet, is_instantiated, mask_value, release, restrict
+from dyncsp import (
+    BOOL_DOMAIN,
+    ExtensionalConstraint,
+    Network,
+    Observation,
+    assert_observation,
+    gate_table,
+    generate,
+)
+from dyncsp.core import (
+    ConditionLiteral,
+    PropagationRule,
+    RuleSet,
+    RuleTemplate,
+    is_instantiated,
+    mask_value,
+    release,
+    restrict,
+)
 
 
 def bool_net(*names):
@@ -54,6 +73,24 @@ def test_add_constraint_validates_scope_and_tuples():
         net.add_constraint(empty, RuleSet("C5", ()))
 
 
+def indexes(net):
+    """Every index a registration writes: constraint and rule tables, the
+    (constraint, position) entries of each variable, the templates with
+    their tables, and the agenda."""
+    return (
+        dict(net.constraints),
+        dict(net.rules),
+        dict(net.rule_index),
+        {var: list(entries) for var, entries in net.occurrences.items()},
+        {
+            cid: (t, deepcopy((t.rules, t.conditioned, t.excluding, t.unconditional)))
+            for cid, t in net.templates.items()
+        },
+        list(net.agenda.heap),
+        set(net.agenda.queued),
+    )
+
+
 def test_rejected_rule_set_leaves_no_trace():
     net = bool_net("A", "B", "C")
     n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
@@ -61,14 +98,7 @@ def test_rejected_rule_set_leaves_no_trace():
     net.add_constraint(n1, generate(n1, {"A": BOOL_DOMAIN, "B": BOOL_DOMAIN}))
     rules = generate(n2, {"B": BOOL_DOMAIN, "C": BOOL_DOMAIN}).rules
 
-    def watches():
-        return (
-            {lit: list(entries) for lit, entries in net.rule_watch.items()},
-            {key: list(entries) for key, entries in net.conclusion_watch.items()},
-            list(net.agenda.heap),
-        )
-
-    before = watches()
+    before = indexes(net)
     # filed under N1, N2's rules would stop propagating once N1 is relaxed
     misfiled = tuple(replace(rule, owner="N1") for rule in rules)
     for bad, message in (
@@ -80,7 +110,7 @@ def test_rejected_rule_set_leaves_no_trace():
             net.add_constraint(n2, RuleSet("N2", bad))
         assert set(net.constraints) == set(net.rules) == {"N1"}
         assert set(net.rule_index) == {rule.id for rule in net.rules["N1"]}
-        assert watches() == before
+        assert indexes(net) == before
     net.add_constraint(n2, RuleSet("N2", rules))
     assert net.rules["N2"] == rules
 
@@ -93,10 +123,96 @@ def test_rule_indices_must_follow_their_positions():
     with pytest.raises(ValueError, match="has index 2, not 1"):
         net.add_constraint(n1, RuleSet("N1", shifted))
     assert net.constraints == net.rules == net.rule_index == {}
-    assert net.rule_watch == net.conclusion_watch == {}
+    assert net.templates == net.occurrences == {}
     assert len(net.agenda) == 0
     net.add_constraint(n1, RuleSet("N1", rules))
     assert net.rules["N1"] == rules
+
+
+def test_rules_naming_values_outside_the_declared_domain_are_rejected():
+    """Such a rule used to be accepted and then fail partway through its
+    firing, leaving a mask whose cause was never recorded as a firing."""
+    net = bool_net("A", "B", "C")
+    scope = ("A", "B", "C")
+    c = ExtensionalConstraint("C", "c", scope, frozenset(product(BOOL_DOMAIN, repeat=3)))
+    lit = ConditionLiteral
+    for conditions, conclusions, value, var in (
+        ((lit("A", "true"),), (("B", ("true",)), ("C", ("maybe",))), "maybe", "C"),
+        ((lit("A", "yes"),), (("B", ("true",)),), "yes", "A"),
+    ):
+        bad = (PropagationRule("C.R1", "C", 1, conditions, conclusions),)
+        before = indexes(net)
+        message = f"names value '{value}' outside the domain of '{var}'"
+        with pytest.raises(ValueError, match=message):
+            net.add_constraint(c, RuleSet("C", bad))
+        with pytest.raises(ValueError, match=message):
+            RuleTemplate(c, (BOOL_DOMAIN,) * 3, bad)
+        assert indexes(net) == before
+    stray = (PropagationRule("C.R1", "C", 1, (), (("Z", ("true",)),)),)
+    net.add_variable("Z")
+    with pytest.raises(ValueError, match="outside the scope of 'C'"):
+        net.add_constraint(c, RuleSet("C", stray))
+    assert net.constraints == {}
+    # the assert that used to raise partway now runs on an empty network
+    assert assert_observation(net, Observation("M1", "A", "true")).status == "fixpoint"
+    assert net.firings == {} and net.next_firing_id == 1
+
+
+def test_a_template_binds_only_constraints_of_its_shape():
+    net = Network()
+    for name, domain in (("A", BOOL_DOMAIN), ("B", BOOL_DOMAIN), ("C", BOOL_DOMAIN), ("T", ("a", "b"))):
+        net.add_variable(name, domain)
+    table = gate_table("not", 1)
+    n0 = ExtensionalConstraint("N0", "not", ("X", "Y"), table)
+    template = RuleTemplate(n0, (BOOL_DOMAIN, BOOL_DOMAIN), generate(n0, dict.fromkeys("XY", BOOL_DOMAIN)).rules)
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), table)
+    net.add_constraint(n1, template)
+    assert net.rules["N1"] == generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)).rules
+    assert net.templates["N1"] is template
+    assert net.occurrences == {"A": [("N1", 0)], "B": [("N1", 1)]}
+    before = indexes(net)
+    for bad, message in (
+        (ExtensionalConstraint("N1", "not", ("B", "C"), table), "already declared"),
+        (ExtensionalConstraint("N2", "not", ("B", "B"), table), "repeats a scope variable"),
+        (ExtensionalConstraint("N2", "not", ("B", "Q"), table), "undeclared variable 'Q'"),
+        (ExtensionalConstraint("N2", "not", ("B", "T"), table), "does not have the shape"),
+        (ExtensionalConstraint("N2", "buf", ("B", "C"), gate_table("and", 2)), "does not have the shape"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            net.add_constraint(bad, template)
+        assert indexes(net) == before
+    # an equal table that is another object binds too
+    n2 = ExtensionalConstraint("N2", "not", ("B", "C"), frozenset(table))
+    net.add_constraint(n2, template)
+    assert net.rules["N2"] == generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)).rules
+    assert net.occurrences["B"] == [("N1", 1), ("N2", 0)]
+    # a rule set may name its rules freely, so a bound id can collide
+    k = ExtensionalConstraint("K", "not", ("A", "C"), table)
+    named = tuple(
+        replace(rule, id=f"N3.R{rule.index}")
+        for rule in generate(k, dict.fromkeys("AC", BOOL_DOMAIN)).rules
+    )
+    net.add_constraint(k, RuleSet("K", named))
+    before = indexes(net)
+    with pytest.raises(ValueError, match="rule id 'N3.R1' already registered"):
+        net.add_constraint(ExtensionalConstraint("N3", "not", ("C", "A"), table), template)
+    assert indexes(net) == before
+
+
+def test_a_new_constraint_queues_only_rules_whose_conditions_hold():
+    net = bool_net("A", "B", "C")
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    net.add_constraint(n1, generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)))
+    assert len(net.agenda) == 0  # a not gate has no unconditional rule
+    assert_observation(net, Observation("M1", "B", "true"))
+    n2 = ExtensionalConstraint("N2", "not", ("B", "C"), gate_table("not", 1))
+    rules = generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)).rules
+    net.add_constraint(n2, RuleSet("N2", rules))
+    (held,) = [rule for rule in rules if rule.conditions == (("B", "true"),)]
+    assert net.agenda.queued == {("N2", held.index)}
+    forced = ExtensionalConstraint("F", "c", ("C",), frozenset({("false",)}))
+    net.add_constraint(forced, generate(forced, {"C": BOOL_DOMAIN}))
+    assert net.agenda.queued == {("N2", held.index), ("F", 1)}
 
 
 def test_mask_is_counted_per_justification():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -366,6 +367,30 @@ def test_agenda_holds_every_applicable_rule_through_dynamic_sequences():
                 assert_agenda_covers_applicable_rules(net)
                 if not short_circuit and net.first_empty() is None:
                     assert not net.agenda, (seed, step)
+
+
+def test_shared_templates_and_per_constraint_rule_sets_run_alike():
+    """``build_network`` binds one template per shape; registering a fresh
+    compile of each constraint must log the same events, reach the same
+    domains and diagnose the same, shuffled (odd seeds) or not."""
+    for seed in range(100):
+        spec = random_network(seed)
+        shuffle = seed if seed % 2 else None
+        shared = build_network(spec, seed=shuffle, assert_observations=False)
+        single = Network(rng=None if shuffle is None else random.Random(shuffle))
+        for v in spec.variables:
+            single.add_variable(v.name, v.domain)
+        for g in spec.gates:
+            scope = (*g.inputs, g.output)
+            c = ExtensionalConstraint(g.id, g.kind, scope, gate_table(g.kind, len(g.inputs)))
+            single.add_constraint(c, generate(c, {v: BOOL for v in scope}))
+        assert single.rules == shared.rules, seed
+        for step in random_sequence(seed ^ 0xD1FF, spec):
+            run_op(shared, step)
+            run_op(single, step)
+            assert single.events == shared.events, (seed, step)
+            assert single.visible_state() == shared.visible_state(), (seed, step)
+        assert diagnose(single, 2) == diagnose(shared, 2), seed
 
 
 def test_release_that_instantiates_an_emptied_domain_queues_its_rules():

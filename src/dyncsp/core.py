@@ -2,13 +2,14 @@
 
 A network owns variables with immutable declared domains, extensional
 constraints with their compiled propagation rules, observations, and a
-firing trace. Runtime narrowing never deletes a value: it masks the value
-under one or more justifications (firing ids or observation ids), so every
-removal is reversible and attributable. Every mutation appends to an event
-log; replaying the log against a fresh structural copy reproduces the
-state exactly. The log is also the undo trail: ``Network.rollback``
-inverts the events logged since a mark, newest first, so undo costs
-what changed, not the size of the network.
+firing trace that keeps one record per rule application, shared with
+its ``fire`` event. Runtime narrowing never deletes a value: it masks
+the value under one or more justifications (firing ids or observation
+ids), so every removal is reversible and attributable. Every mutation
+appends to an event log; replaying the log against a fresh structural
+copy reproduces the state exactly. The log is also the undo trail:
+``Network.rollback`` inverts the events logged since a mark, newest
+first, so undo costs what changed, not the size of the network.
 
 Each network also keeps an agenda that holds every rule that may be
 applicable. Every mutation that can make a rule applicable queues it: a
@@ -36,9 +37,6 @@ FiringId = int
 Cause = int | str
 
 BOOL_DOMAIN: tuple[Value, Value] = ("false", "true")
-
-ACTIVE = "active"
-CANCELLED = "cancelled"
 
 
 def cause_key(cause: Cause) -> tuple[bool, Cause]:
@@ -214,22 +212,23 @@ class Observation:
     active: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class Firing:
-    """The trace record of one rule application.
+    """The trace record of one rule application, shared with its ``fire`` event.
 
     ``supports`` snapshots, per condition literal, the justifications that
-    held the instantiation at firing time. ``effects`` lists every
+    held the instantiation at firing time, as ``(variable, value, causes)``
+    with the causes sorted by :func:`cause_key`. ``effects`` lists every
     (variable, value) exclusion this firing justifies, including values
     that were already hidden by another cause when it fired; cancelling
-    the firing releases them all.
+    the firing releases them all. The firing is active iff
+    ``network.active_firing[rule]`` is its id.
     """
 
     id: FiringId
     rule: RuleId
-    supports: tuple[tuple[ConditionLiteral, frozenset[Cause]], ...]
+    supports: tuple[tuple[VariableId, Value, tuple[Cause, ...]], ...]
     effects: tuple[tuple[VariableId, Value], ...]
-    status: str = ACTIVE
 
 
 @dataclass
@@ -300,11 +299,12 @@ class Network:
     say which rules a mutation can make applicable, and ``agenda`` holds
     every rule that may be applicable right now.
 
-    ``events`` is the trail: every change to masks, firings, observations
-    and constraint flags appends one event, and :meth:`rollback` undoes
-    them. ``watchers`` maps a variable to the active firings whose
-    conditions test it and never keeps an empty set, so undo restores it
-    exactly.
+    ``firings`` keeps every firing, cancelled or not, and
+    ``active_firing`` maps a rule to its one active firing; the watch
+    lists and ``active_firing`` together say which active firings test a
+    variable. ``events`` is the trail: every change to masks, firings,
+    observations and constraint flags appends one event, and
+    :meth:`rollback` undoes them.
     """
 
     def __init__(self, *, short_circuit: bool = False, rng=None):
@@ -318,7 +318,6 @@ class Network:
         self.observations: dict[ObservationId, Observation] = {}
         self.firings: dict[FiringId, Firing] = {}
         self.active_firing: dict[RuleId, FiringId] = {}
-        self.watchers: dict[VariableId, set[FiringId]] = {}
         self.empty_order: list[VariableId] = []
         self.events: list[tuple] = []
         self.next_firing_id: FiringId = 1
@@ -417,20 +416,6 @@ class Network:
     def visible_state(self) -> dict[VariableId, tuple[Value, ...]]:
         return {name: dom.visible() for name, dom in self.domains.items()}
 
-    def watch(self, firing_id: FiringId, rule: PropagationRule) -> None:
-        """Register an active firing under each variable its conditions test."""
-        for lit in rule.conditions:
-            self.watchers.setdefault(lit.variable, set()).add(firing_id)
-
-    def unwatch(self, firing_id: FiringId, rule: PropagationRule) -> None:
-        """Undo :meth:`watch`, dropping a watcher set once it is empty."""
-        for lit in rule.conditions:
-            fids = self.watchers.get(lit.variable)
-            if fids is not None:
-                fids.discard(firing_id)
-                if not fids:
-                    del self.watchers[lit.variable]
-
     def snapshot(self) -> tuple:
         """Mark the trail, keeping what no event records: agenda, empty_order, next id, rng."""
         return (
@@ -451,15 +436,10 @@ class Network:
             elif kind == "release":
                 self.domains[event[1]].hide(event[2], event[3])
             elif kind == "fire":
-                fid, rule_id = event[1], event[2]
-                del self.firings[fid]
-                del self.active_firing[rule_id]
-                self.unwatch(fid, self.rule_index[rule_id])
+                del self.firings[event[1]]
+                del self.active_firing[event[2]]
             elif kind == "cancel":
-                firing = self.firings[event[1]]
-                firing.status = ACTIVE
-                self.active_firing[firing.rule] = firing.id
-                self.watch(firing.id, self.rule_index[firing.rule])
+                self.active_firing[self.firings[event[1]].rule] = event[1]
             elif kind == "observe":
                 del self.observations[event[1]]
             elif kind == "retract":

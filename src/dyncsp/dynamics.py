@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 
 from .core import (
-    ACTIVE,
-    CANCELLED,
     ChangeRecord,
     ConstraintId,
     FiringId,
@@ -28,29 +26,34 @@ from .core import (
 from .engine import PropagationOutcome, propagate
 
 
-def _unfounded_watchers(network: Network, variable: VariableId, value: Value) -> list[FiringId]:
-    """Active firings relying on ``variable=value`` being hidden, without an older cause.
+def _unfounded_firings(network: Network, variable: VariableId, value: Value) -> list[FiringId]:
+    """Active firings that ``variable=value`` leaves unfounded, sorted by id.
 
     A firing relies on every value its condition on ``variable`` excludes,
     and stays founded while each such value is hidden by an observation
     or by a firing older than itself. Firing ids grow, so while every
     active firing is founded, every mask rests on observations: firings
     that only hide each other's values form a cycle of self-support, and
-    its oldest member is unfounded.
+    its oldest member is unfounded. The firings that test ``variable`` at
+    another value are found as queuing finds rules: through its
+    occurrences, the template's ``conditioned`` lists, and
+    ``active_firing``.
     """
     causes = network.domains[variable].mask.get(value, ())
     if any(isinstance(cause, str) for cause in causes):
         return []
     oldest = min(causes, default=math.inf)
     unfounded = []
-    for fid in sorted(network.watchers.get(variable, ())):
-        firing = network.firings[fid]
-        if fid > oldest or firing.status != ACTIVE:
-            continue
-        conditions = network.rule(firing.rule).conditions
-        if any(lit.variable == variable and lit.value != value for lit in conditions):
-            unfounded.append(fid)
-    return unfounded
+    for cid, position in network.occurrences.get(variable, ()):
+        rules = network.rules[cid]
+        for tested, indices in network.templates[cid].conditioned[position].items():
+            if tested == value:
+                continue
+            for i in indices:
+                fid = network.active_firing.get(rules[i - 1].id)
+                if fid is not None and fid <= oldest:
+                    unfounded.append(fid)
+    return sorted(unfounded)
 
 
 def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
@@ -59,11 +62,12 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
     The cascade is iterative: a released value can re-widen a domain,
     breaking the instantiation another firing depended on, or stay
     hidden only by firings younger than one that relies on it; either
-    firing is then cancelled the same way. Cancelling an already
-    cancelled firing is a no-op. The rule needs no agenda entry of its
-    own: its firing masked every value the rule excludes, so the rule
-    becomes useful again only when one of those values is released,
-    which queues it.
+    firing is then cancelled the same way. A firing is active iff
+    ``network.active_firing`` maps its rule to its id, so cancelling one
+    that is not is a no-op. The rule needs no agenda entry of its own:
+    its firing masked every value the rule excludes, so the rule becomes
+    useful again only when one of those values is released, which
+    queues it.
     """
     if firing_id not in network.firings:
         raise ValueError(f"unknown firing {firing_id!r}")
@@ -72,16 +76,14 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
     while stack:
         fid = stack.pop()
         firing = network.firings[fid]
-        if firing.status == CANCELLED:
+        if network.active_firing.get(firing.rule) != fid:
             continue
-        firing.status = CANCELLED
-        record.cancelled.append(fid)
         del network.active_firing[firing.rule]
-        network.unwatch(fid, network.rule(firing.rule))
+        record.cancelled.append(fid)
         network.events.append(("cancel", fid))
         for var, value in firing.effects:
             release(network, var, value, fid)
-            stack.extend(_unfounded_watchers(network, var, value))
+            stack.extend(_unfounded_firings(network, var, value))
     return record
 
 
@@ -146,7 +148,7 @@ def retract_observation(network: Network, observation_id: ObservationId) -> Prop
     for value in network.domains[var].declared:
         if value != observation.value:
             release(network, var, value, observation_id)
-            unfounded.extend(_unfounded_watchers(network, var, value))
+            unfounded.extend(_unfounded_firings(network, var, value))
     for fid in unfounded:
         cancel_firing(network, fid)
     return propagate(network)

@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    ACTIVE,
     AgendaEntry,
     Cause,
-    ConditionLiteral,
     ConstraintId,
     Firing,
     FiringId,
@@ -70,15 +68,6 @@ def rule_applicable(network: Network, rule: PropagationRule) -> bool:
     return _would_shrink(network, rule)
 
 
-def _serialize_supports(
-    supports: tuple[tuple[ConditionLiteral, frozenset[Cause]], ...]
-) -> tuple:
-    return tuple(
-        (lit.variable, lit.value, tuple(sorted(causes, key=cause_key)))
-        for lit, causes in supports
-    )
-
-
 def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
     """Apply one rule, recording the firing and its justifications.
 
@@ -87,7 +76,7 @@ def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
     A firing that does shrink something claims a justification on every
     value its conclusions exclude, even values another cause already
     hides, so its exclusions stay in force if that other cause is later
-    released.
+    released. The ``fire`` event shares the firing's supports and effects.
     """
     if rule.id in network.active_firing:
         raise ValueError(f"rule {rule.id!r} already has an active firing")
@@ -97,11 +86,11 @@ def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
     if not _would_shrink(network, rule):
         return None
     supports = []
-    for lit in rule.conditions:
+    for var, value in rule.conditions:
         causes: set[Cause] = set()
-        for ctr in network.domain(lit.variable).mask.values():
+        for ctr in network.domain(var).mask.values():
             causes.update(ctr)
-        supports.append((lit, frozenset(causes)))
+        supports.append((var, value, tuple(sorted(causes, key=cause_key))))
     fid = network.next_firing_id
     network.next_firing_id += 1
     hidden, claimed = [], []
@@ -109,19 +98,10 @@ def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
         newly_hidden, also_claimed = restrict(network, var, vals, fid)
         hidden += newly_hidden
         claimed += also_claimed
-    firing = Firing(
-        id=fid,
-        rule=rule.id,
-        supports=tuple(supports),
-        effects=tuple(hidden + claimed),
-        status=ACTIVE,
-    )
+    firing = Firing(fid, rule.id, tuple(supports), tuple(hidden + claimed))
     network.firings[fid] = firing
     network.active_firing[rule.id] = fid
-    network.watch(fid, rule)
-    network.events.append(
-        ("fire", fid, rule.id, _serialize_supports(firing.supports), firing.effects)
-    )
+    network.events.append(("fire", fid, rule.id, firing.supports, firing.effects))
     return fid
 
 

@@ -26,7 +26,7 @@ from .engine import (
     propagate,
 )
 from .gates import gate_table
-from .textio import Command, NetworkSpec, Script
+from .textio import Command, NetworkSpec, ParseError, Script
 
 
 def build_network(
@@ -251,9 +251,9 @@ def run_script(
     """Execute a script against a freshly built network and report.
 
     Observations declared in the network file run first, as implicit
-    assert commands. Exceptions from invalid commands (retracting an
-    unknown observation, relaxing a fixed constraint) propagate to the
-    caller.
+    assert commands. A command that fails when applied (retracting an
+    observation twice, relaxing a fixed constraint) raises a
+    ``ParseError`` that names its script line.
     """
     network = build_network(
         spec, short_circuit=short_circuit, seed=seed, assert_observations=False
@@ -262,79 +262,87 @@ def run_script(
     steps = [Command("assert", (o.id, o.variable, o.value)) for o in spec.observations]
     steps.extend(script.commands)
     for command in steps:
-        start = len(network.events)
-        outcome: PropagationOutcome | None = None
-        header: dict | None = None
-        if command.op == "assert":
-            oid, variable, value = command.args
-            outcome = assert_observation(network, Observation(oid, variable, value))
-            header = {"op": "assert", "observation": oid, "variable": variable, "value": value}
-        elif command.op == "retract":
-            outcome = retract_observation(network, command.args[0])
-            header = {"op": "retract", "observation": command.args[0]}
-        elif command.op == "relax":
-            outcome = relax(network, command.args[0])
-            header = {"op": "relax", "constraint": command.args[0]}
-        elif command.op == "restore":
-            outcome = restore(network, command.args[0])
-            header = {"op": "restore", "constraint": command.args[0]}
-        elif command.op == "propagate":
-            outcome = propagate(network)
-            header = {"op": "propagate"}
-        elif command.op == "conflicts":
-            variable = network.first_empty()
-            if variable is None:
-                report.events.append(
-                    {"op": "conflicts", "variable": None, "constraints": [], "observations": []}
-                )
-            else:
-                conflict = extract_conflict(network, variable)
-                fields = _conflict_fields(
-                    variable, conflict.constraints, conflict.observations, include_observations
-                )
-                report.events.append({"op": "conflicts", **fields})
-        elif command.op == "diagnose":
-            results = diagnose(network, command.args[0])
-            listed = [sorted(d.constraints) for d in results]
-            report.events.append(
-                {"op": "diagnose", "max": command.args[0], "diagnoses": listed}
-            )
-            report.diagnoses = listed
-            report.diagnose_ran = True
-        elif command.op == "dump_rules":
-            cid = command.args[0]
-            network.constraint(cid)
-            report.events.append(
-                {
-                    "op": "dump",
-                    "what": "rules",
-                    "constraint": cid,
-                    "lines": dump_rules(network.rules[cid]).splitlines(),
-                }
-            )
-        elif command.op == "dump_domains":
-            report.events.append(
-                {
-                    "op": "dump",
-                    "what": "domains",
-                    "domains": {v: list(d.visible()) for v, d in network.domains.items()},
-                }
-            )
-        else:
-            raise ValueError(f"unknown command {command.op!r}")
-        if header is not None:
-            summary, fires = _translate_delta(network, network.events[start:])
-            if command.op == "assert":
-                header["masks"] = summary["masks"]
-            elif command.op in ("retract", "relax"):
-                header["released"] = summary["released"]
-                header["cancelled"] = summary["cancelled"]
-            report.events.append(header)
-            report.events.extend(fires)
-            if outcome is not None and outcome.status == CONFLICT:
-                record = _conflict_record(outcome, include_observations)
-                report.events.append({"op": "conflict", **record})
-                report.conflicts.append(record)
+        try:
+            _apply(network, command, report, include_observations)
+        except ValueError as exc:
+            raise ParseError(str(exc), command.line or None) from exc
     report.domains = {name: list(dom.visible()) for name, dom in network.domains.items()}
     report.final_consistent = network.first_empty() is None
     return report
+
+
+def _apply(network: Network, command: Command, report: Report, include_observations: bool) -> None:
+    """Run one command and append what it did to ``report``."""
+    start = len(network.events)
+    outcome: PropagationOutcome | None = None
+    header: dict | None = None
+    if command.op == "assert":
+        oid, variable, value = command.args
+        outcome = assert_observation(network, Observation(oid, variable, value))
+        header = {"op": "assert", "observation": oid, "variable": variable, "value": value}
+    elif command.op == "retract":
+        outcome = retract_observation(network, command.args[0])
+        header = {"op": "retract", "observation": command.args[0]}
+    elif command.op == "relax":
+        outcome = relax(network, command.args[0])
+        header = {"op": "relax", "constraint": command.args[0]}
+    elif command.op == "restore":
+        outcome = restore(network, command.args[0])
+        header = {"op": "restore", "constraint": command.args[0]}
+    elif command.op == "propagate":
+        outcome = propagate(network)
+        header = {"op": "propagate"}
+    elif command.op == "conflicts":
+        variable = network.first_empty()
+        if variable is None:
+            report.events.append(
+                {"op": "conflicts", "variable": None, "constraints": [], "observations": []}
+            )
+        else:
+            conflict = extract_conflict(network, variable)
+            fields = _conflict_fields(
+                variable, conflict.constraints, conflict.observations, include_observations
+            )
+            report.events.append({"op": "conflicts", **fields})
+    elif command.op == "diagnose":
+        results = diagnose(network, command.args[0])
+        listed = [sorted(d.constraints) for d in results]
+        report.events.append(
+            {"op": "diagnose", "max": command.args[0], "diagnoses": listed}
+        )
+        report.diagnoses = listed
+        report.diagnose_ran = True
+    elif command.op == "dump_rules":
+        cid = command.args[0]
+        network.constraint(cid)
+        report.events.append(
+            {
+                "op": "dump",
+                "what": "rules",
+                "constraint": cid,
+                "lines": dump_rules(network.rules[cid]).splitlines(),
+            }
+        )
+    elif command.op == "dump_domains":
+        report.events.append(
+            {
+                "op": "dump",
+                "what": "domains",
+                "domains": {v: list(d.visible()) for v, d in network.domains.items()},
+            }
+        )
+    else:
+        raise ValueError(f"unknown command {command.op!r}")
+    if header is not None:
+        summary, fires = _translate_delta(network, network.events[start:])
+        if command.op == "assert":
+            header["masks"] = summary["masks"]
+        elif command.op in ("retract", "relax"):
+            header["released"] = summary["released"]
+            header["cancelled"] = summary["cancelled"]
+        report.events.append(header)
+        report.events.extend(fires)
+        if outcome is not None and outcome.status == CONFLICT:
+            record = _conflict_record(outcome, include_observations)
+            report.events.append({"op": "conflict", **record})
+            report.conflicts.append(record)

@@ -206,7 +206,7 @@ def _parse_var(cur: _Cursor, domains) -> VariableDecl:
 
 def _take_variable(cur: _Cursor, domains, what: str) -> str:
     name = cur.take(what)
-    if name not in domains:
+    if domains is not None and name not in domains:
         raise cur.error(f"undeclared variable {name!r}", cur.column)
     return name
 
@@ -280,6 +280,7 @@ def _parse_table(cur: _Cursor, domains, constraint_ids) -> TableDecl:
 
 
 def _parse_obs(cur: _Cursor, domains, observation_ids) -> ObservationDecl:
+    """``<id> <variable> = <value>``; without ``domains`` only the id is checked."""
     oid = cur.take("an observation id")
     if oid in observation_ids:
         raise cur.error(f"observation id {oid!r} already used", cur.column)
@@ -287,7 +288,7 @@ def _parse_obs(cur: _Cursor, domains, observation_ids) -> ObservationDecl:
     variable = _take_variable(cur, domains, "a variable")
     cur.expect("=")
     value = cur.take("a value")
-    if value not in domains[variable]:
+    if domains is not None and value not in domains[variable]:
         raise cur.error(f"value {value!r} is outside the domain of {variable!r}", cur.column)
     cur.finish()
     return ObservationDecl(oid, variable, value)
@@ -302,19 +303,8 @@ def parse_script(text: str, spec: NetworkSpec | None = None) -> Script:
     for cur in _lines(text):
         head = cur.take("a command")
         if head == "assert":
-            oid = cur.take("an observation id")
-            if oid in observation_ids:
-                raise cur.error(f"observation id {oid!r} already used", cur.column)
-            observation_ids.add(oid)
-            variable = cur.take("a variable")
-            cur.expect("=")
-            value = cur.take("a value")
-            if domains is not None:
-                if variable not in domains:
-                    raise cur.error(f"undeclared variable {variable!r}")
-                if value not in domains[variable]:
-                    raise cur.error(f"value {value!r} is outside the domain of {variable!r}")
-            commands.append(Command("assert", (oid, variable, value), cur.line_no))
+            obs = _parse_obs(cur, domains, observation_ids)
+            commands.append(Command("assert", (obs.id, obs.variable, obs.value), cur.line_no))
         elif head == "retract":
             oid = cur.take("an observation id")
             if spec is not None and oid not in observation_ids:

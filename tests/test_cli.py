@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dyncsp.cli import main
 
 from conftest import FIXTURES
@@ -8,6 +10,7 @@ CIRCUIT0 = str(FIXTURES / "circuit0.net")
 CIRCUIT0_SCRIPT = str(FIXTURES / "circuit0.script")
 CIRCUIT1 = str(FIXTURES / "circuit1.net")
 CIRCUIT1_SCRIPT = str(FIXTURES / "circuit1.script")
+SESSION_SCRIPT = str(FIXTURES / "circuit1_session.script")
 
 
 def test_compile_reports_constraint_and_rule_counts(capsys):
@@ -45,6 +48,27 @@ def test_run_json_output_is_stable(capsys):
     main(["run", CIRCUIT0, CIRCUIT0_SCRIPT, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "name, network, script, code",
+    [
+        ("circuit0", CIRCUIT0, CIRCUIT0_SCRIPT, 0),
+        ("circuit1", CIRCUIT1, CIRCUIT1_SCRIPT, 0),
+        ("circuit1_session", CIRCUIT1, SESSION_SCRIPT, 1),
+    ],
+)
+def test_run_reports_match_the_golden_bytes(name, network, script, code, capsys):
+    """The whole JSON and text reports, firing supports and cancel order included.
+
+    The session relaxes O2 while three of its firings stand, which cancels
+    them in one cascade, then retracts, re-asserts and restores into a
+    standing conflict.
+    """
+    for fmt, suffix in (("json", "json"), ("text", "txt")):
+        assert main(["run", network, script, f"--{fmt}"]) == code
+        expected = (FIXTURES / "reports" / f"{name}.{suffix}").read_bytes().decode("utf-8")
+        assert capsys.readouterr().out == expected, (name, fmt)
 
 
 def test_run_timestamp_is_opt_in(capsys):
@@ -156,4 +180,6 @@ def test_invalid_runtime_commands_exit_with_a_usage_error(tmp_path, capsys):
     spec_free = tmp_path / "lone.net"
     spec_free.write_text("var A bool\nvar B bool\nvar C bool\ngate O1 or A B -> C\n")
     assert main(["run", str(spec_free), str(script)]) == 2
-    assert "O1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "O1" in err
+    assert "line 1" in err

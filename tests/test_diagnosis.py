@@ -117,9 +117,8 @@ def network_state(net):
             var: {value: dict(causes) for value, causes in dom.mask.items()}
             for var, dom in net.domains.items()
         },
-        {fid: firing.status for fid, firing in net.firings.items()},
+        dict(net.firings),
         dict(net.active_firing),
-        {var: set(fids) for var, fids in net.watchers.items()},
         (list(net.agenda.heap), set(net.agenda.queued), net.agenda.ordered),
         list(net.empty_order),
         {oid: obs.active for oid, obs in net.observations.items()},

@@ -19,7 +19,6 @@ from dyncsp import (
     restore,
     retract_observation,
 )
-from dyncsp.core import ACTIVE, CANCELLED
 from dyncsp.dynamics import cancel_firing
 from dyncsp.engine import rule_applicable
 
@@ -75,7 +74,7 @@ def test_cancel_cascades_through_dependent_firings():
     assert len(net.firings) == 4
     record = cancel_firing(net, 1)
     assert record.cancelled == [1, 2, 3, 4]
-    assert all(net.firings[f].status == CANCELLED for f in record.cancelled)
+    assert all(net.active_firing.get(net.firings[f].rule) != f for f in record.cancelled)
     assert all(net.domains[f"V{i}"].visible() == ("false", "true") for i in range(1, 5))
     assert net.active_firing == {}
     # the observation pin on V0 is untouched
@@ -92,7 +91,7 @@ def test_cancel_spares_watchers_still_supported_by_an_observation():
     record = cancel_firing(net, b_firing)
     # B stays instantiated through M2, so the downstream firing survives
     assert record.cancelled == [b_firing]
-    assert net.firings[c_firing].status == ACTIVE
+    assert net.active_firing["N2.R2"] == c_firing
     assert net.domains["B"].visible() == ("true",)
     assert net.domains["C"].visible() == ("false",)
 
@@ -218,7 +217,7 @@ def test_retract_releases_pins_and_cancels_dependents():
     assert out.status == "fixpoint"
     assert out.fired == []
     assert visible(net) == {v: ("false", "true") for v in net.domains}
-    assert all(f.status == CANCELLED for f in net.firings.values())
+    assert net.firings and net.active_firing == {}
 
 
 def test_retract_cancels_firings_that_only_hide_each_others_values():
@@ -237,7 +236,7 @@ def test_retract_cancels_firings_that_only_hide_each_others_values():
     assert visible(net) == {"A": ("true",), "X": ("false",), "B": ("true",), "Y": ("false",)}
     assert retract_observation(net, "M1").status == "fixpoint"
     assert visible(net) == {v: BOOL for v in "AXBY"}
-    assert all(f.status == CANCELLED for f in net.firings.values())
+    assert net.firings and net.active_firing == {}
 
 
 def test_retract_clears_a_standing_conflict():
@@ -322,9 +321,22 @@ def test_dynamic_sequences_match_a_scratch_rebuild(seed):
         assert visible(net) == visible(fresh)
 
 
+def assert_active_firings_are_founded(net):
+    """Every value an active firing's condition excludes is hidden by an
+    observation or by an older firing (read from the masks alone)."""
+    for rule_id, fid in net.active_firing.items():
+        for var, value in net.rule(rule_id).conditions:
+            dom = net.domains[var]
+            for other in dom.declared:
+                if other != value:
+                    causes = dom.mask.get(other, ())
+                    assert any(isinstance(c, str) or c < fid for c in causes), (fid, var, other)
+
+
 def test_dynamic_sequences_keep_the_arc_consistency_fixpoint():
     """After every step the visible domains are the oracle's GAC fixpoint of
-    the active gates and pins, or both report an empty domain."""
+    the active gates and pins, or both report an empty domain, and every
+    active firing is founded."""
     for seed in range(300):
         spec = random_network(seed, max_vars=10, max_gates=10)
         domains, constraints = oracle_structures(spec)
@@ -332,6 +344,7 @@ def test_dynamic_sequences_keep_the_arc_consistency_fixpoint():
         pins, relaxed = {}, set()
         for step in random_sequence(seed ^ 0xC1C1E, spec, length=30):
             run_op(net, step)
+            assert_active_firings_are_founded(net)
             if step[0] == "assert":
                 pins[step[1]] = step[2:]
             elif step[0] == "retract":

@@ -13,7 +13,7 @@ from dyncsp import (
     generate,
     propagate,
 )
-from dyncsp.core import ConditionLiteral, is_instantiated
+from dyncsp.core import is_instantiated
 from dyncsp.engine import fire_rule, rule_applicable
 
 from generators import oracle_structures, random_network, random_observations
@@ -60,9 +60,10 @@ def test_fire_rule_records_supports_and_effects():
     rule = net.rule(firing.rule)
     assert rule.id == "O3.R3"
     assert firing.effects == (("Z", "true"), ("E4", "true"))
-    assert firing.supports == ((ConditionLiteral("S1", "false"), frozenset({"M1"})),)
+    assert firing.supports == (("S1", "false", ("M1",)),)
     assert net.active_firing["O3.R3"] == 1
-    assert 1 in net.watchers["S1"]
+    assert net.events[-1] == ("fire", 1, "O3.R3", firing.supports, firing.effects)
+    assert net.events[-1][3] is firing.supports and net.events[-1][4] is firing.effects
 
 
 def test_fire_rule_rejects_unmet_conditions_and_double_firing():

@@ -157,8 +157,16 @@ def test_parse_script_without_a_spec_skips_reference_checks():
     [
         ("jump", "unknown command"),
         ("assert M1 B = false", "already used"),
-        ("assert M2 Q = false", "undeclared variable"),
-        ("assert M2 B = maybe", "outside the domain"),
+        pytest.param(
+            "assert M2 Q = false",
+            "column 11: undeclared variable",
+            id="assert M2 Q = false-undeclared variable",
+        ),
+        pytest.param(
+            "assert M2 B = maybe",
+            "column 15: value 'maybe' is outside the domain",
+            id="assert M2 B = maybe-outside the domain",
+        ),
         ("assert M2 B = false\nassert M2 C = true", "already used"),
         ("retract M7", "unknown observation"),
         ("relax Z9", "unknown constraint"),

@@ -244,15 +244,15 @@ AgendaEntry = tuple[ConstraintId, int]  # (constraint id, 1-based rule index)
 class Agenda:
     """Rules that may be applicable, each queued at most once.
 
-    Entries pop smallest first, or uniformly at random given an rng. A
-    random pop swaps the entry out and leaves the heap unordered until
-    the next ordered pop, so both are cheap.
+    Entries pop smallest first, or uniformly at random given the
+    network's rng. A network keeps its rng for life, so an agenda pops
+    only one way; a random pop swaps the entry out and leaves the list
+    unordered, which no later pop reads.
     """
 
     def __init__(self) -> None:
         self.heap: list[AgendaEntry] = []
         self.queued: set[AgendaEntry] = set()
-        self.ordered = True
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -266,15 +266,11 @@ class Agenda:
     def pop(self, rng=None) -> AgendaEntry:
         heap = self.heap
         if rng is None:
-            if not self.ordered:
-                heapq.heapify(heap)
-                self.ordered = True
             entry = heapq.heappop(heap)
         else:
             i = rng.randrange(len(heap))
             heap[i], heap[-1] = heap[-1], heap[i]
             entry = heap.pop()
-            self.ordered = False
         self.queued.discard(entry)
         return entry
 
@@ -282,7 +278,6 @@ class Agenda:
         twin = Agenda()
         twin.heap = list(self.heap)
         twin.queued = set(self.queued)
-        twin.ordered = self.ordered
         return twin
 
 

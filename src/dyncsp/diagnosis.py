@@ -5,16 +5,17 @@ makes the network consistent with all active observations: a minimal
 set that hits the relaxable members of every conflict. ``diagnose``
 grows Reiter's hitting-set tree one level per cardinality. A node is a
 set of relaxed constraints, shared by every path that reaches it, and
-is labelled by a known conflict it does not hit; its children relax one
-more member of that conflict. Only a node that hits every known
-conflict probes: it toggles the network to its relaxed set and
-propagates once, which yields either a diagnosis or a new conflict for
-later nodes to reuse. A node that contains a found diagnosis is closed,
-and so is a node at the cardinality bound that a known conflict labels.
-Levels run in order of cardinality, so every diagnosis found is
-minimal. ``diagnose`` marks the network's event trail first and
-unwinds every event since the mark afterwards, restoring the rng as
-well, so diagnosis is observationally pure.
+is labelled by the smallest known conflict it does not hit, ties going
+by discovery; its children relax one more member of that conflict.
+Only a node that hits every known conflict probes: it toggles the
+network to its relaxed set and propagates once, which yields either a
+diagnosis or a new conflict for later nodes to reuse. A node that
+contains a found diagnosis is closed, and so is a node at the
+cardinality bound that a known conflict labels. Levels run in order of
+cardinality, so every diagnosis found is minimal. ``diagnose`` marks the
+network's event trail first and unwinds every event since the mark
+afterwards, restoring the rng as well, so diagnosis is observationally
+pure.
 """
 
 from __future__ import annotations
@@ -62,48 +63,32 @@ def diagnose(network: Network, max_cardinality: int) -> list[Diagnosis]:
     return [Diagnosis(s, len(s)) for s in found]
 
 
-class _Conflicts:
-    """The relaxable members of every conflict found, indexed by member.
-
-    A node may reuse any conflict it does not hit; the smallest one, by
-    size then by discovery, gives it the fewest children.
-    """
-
-    def __init__(self) -> None:
-        self.smallest_first: list[tuple[ConstraintId, ...]] = []
-        self.by_member: dict[ConstraintId, set[tuple[ConstraintId, ...]]] = {}
-
-    def add(self, network: Network, conflict: ConflictSet) -> tuple[ConstraintId, ...]:
-        members = tuple(sorted(c for c in conflict.constraints if network.constraints[c].relaxable))
-        insort(self.smallest_first, members, key=len)
-        for cid in members:
-            self.by_member.setdefault(cid, set()).add(members)
-        return members
-
-    def unhit(self, node: Node) -> tuple[ConstraintId, ...] | None:
-        """The smallest known conflict disjoint from ``node``, if any."""
-        hit = set().union(*(self.by_member.get(cid, ()) for cid in node))
-        return next((members for members in self.smallest_first if members not in hit), None)
-
-
 def _search(network: Network, root_conflict: ConflictSet, max_cardinality: int) -> list[Node]:
     """Minimal diagnoses up to the bound, level by level, in result order.
 
+    ``conflicts`` holds the relaxable members of every conflict found,
+    smallest first, ties in order of discovery; a node is labelled by the
+    first one it does not hit, which gives it the fewest children.
     ``relaxed`` is what the network has relaxed right now; a probe
     toggles only the difference to its node.
     """
-    conflicts = _Conflicts()
-    conflicts.add(network, root_conflict)
+    conflicts: list[Node] = []
+
+    def add(conflict: ConflictSet) -> Node:
+        members = frozenset(c for c in conflict.constraints if network.constraints[c].relaxable)
+        insort(conflicts, members, key=len)
+        return members
+
+    add(root_conflict)
     found: list[Node] = []
-    found_by_member: dict[ConstraintId, list[Node]] = {}
     relaxed: set[ConstraintId] = set()
     level: list[Node] = [frozenset()]
     while level:
         children: set[Node] = set()
         for node in level:
-            if any(d <= node for cid in node for d in found_by_member.get(cid, ())):
+            if any(d <= node for d in found):
                 continue
-            label = conflicts.unhit(node)
+            label = next((c for c in conflicts if node.isdisjoint(c)), None)
             if label is None:
                 for cid in sorted(relaxed - node):
                     set_active(network, cid, True)
@@ -113,10 +98,8 @@ def _search(network: Network, root_conflict: ConflictSet, max_cardinality: int) 
                 consistent, conflict = check_consistent(network)
                 if consistent:
                     found.append(node)
-                    for cid in node:
-                        found_by_member.setdefault(cid, []).append(node)
                     continue
-                label = conflicts.add(network, conflict)
+                label = add(conflict)
             if len(node) < max_cardinality:
                 children.update(node | {cid} for cid in label)
         level = sorted(children, key=sorted)

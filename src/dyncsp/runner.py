@@ -20,6 +20,7 @@ from .diagnosis import diagnose
 from .dynamics import relax, restore, retract_observation
 from .engine import (
     CONFLICT,
+    ConflictSet,
     PropagationOutcome,
     assert_observation,
     extract_conflict,
@@ -41,11 +42,10 @@ def build_network(
     Gates and tables take one path: each is an extensional constraint,
     and constraints of one shape (the allowed tuples plus the declared
     values at each scope position) are compiled once per call into a rule
-    template that each of them binds. A scope that repeats a variable is
-    compiled on its own, because variable names do not identify its
-    positions. With ``assert_observations`` the observations declared in
-    ``spec`` are asserted (and propagated) in declaration order. A
-    ``seed`` switches propagation to randomized rule selection.
+    template that each of them binds. With ``assert_observations`` the
+    observations declared in ``spec`` are asserted (and propagated) in
+    declaration order. A ``seed`` switches propagation to randomized rule
+    selection.
     """
     rng = random.Random(seed) if seed is not None else None
     network = Network(short_circuit=short_circuit, rng=rng)
@@ -55,13 +55,10 @@ def build_network(
     for constraint in _constraints(spec):
         scope = constraint.scope
         domains = tuple(network.domains[v].declared for v in scope)
-        if len(set(scope)) < len(scope):
-            rules = generate(constraint, dict(zip(scope, domains)))
-        else:
-            rules = templates.get((constraint.allowed, domains))
-            if rules is None:
-                compiled = generate(constraint, dict(zip(scope, domains))).rules
-                rules = templates[constraint.allowed, domains] = RuleTemplate(constraint, domains, compiled)
+        rules = templates.get((constraint.allowed, domains))
+        if rules is None:
+            compiled = generate(constraint, dict(zip(scope, domains))).rules
+            rules = templates[constraint.allowed, domains] = RuleTemplate(constraint, domains, compiled)
         network.add_constraint(constraint, rules)
     if assert_observations:
         for o in spec.observations:
@@ -223,18 +220,9 @@ def _translate_delta(network: Network, delta: list[tuple]) -> tuple[dict, list[d
     return summary, fires
 
 
-def _conflict_record(
-    outcome: PropagationOutcome, include_observations: bool
-) -> dict:
-    variable, conflict = outcome.conflict
-    return _conflict_fields(
-        variable, conflict.constraints, conflict.observations, include_observations
-    )
-
-
-def _conflict_fields(variable, constraints, observations, include_observations) -> dict:
-    listed = sorted(constraints)
-    observed = sorted(observations)
+def _conflict_fields(variable, conflict: ConflictSet, include_observations: bool) -> dict:
+    listed = sorted(conflict.constraints)
+    observed = sorted(conflict.observations)
     if include_observations:
         listed = sorted({*listed, *observed})
     return {"variable": variable, "constraints": listed, "observations": observed}
@@ -299,9 +287,8 @@ def _apply(network: Network, command: Command, report: Report, include_observati
                 {"op": "conflicts", "variable": None, "constraints": [], "observations": []}
             )
         else:
-            conflict = extract_conflict(network, variable)
             fields = _conflict_fields(
-                variable, conflict.constraints, conflict.observations, include_observations
+                variable, extract_conflict(network, variable), include_observations
             )
             report.events.append({"op": "conflicts", **fields})
     elif command.op == "diagnose":
@@ -343,6 +330,6 @@ def _apply(network: Network, command: Command, report: Report, include_observati
         report.events.append(header)
         report.events.extend(fires)
         if outcome is not None and outcome.status == CONFLICT:
-            record = _conflict_record(outcome, include_observations)
+            record = _conflict_fields(*outcome.conflict, include_observations)
             report.events.append({"op": "conflict", **record})
             report.conflicts.append(record)

@@ -554,6 +554,37 @@ def test_criterion_9_diagnosis_probes_only_where_no_known_conflict_decides(monke
     assert probes <= 16
 
 
+def test_criterion_9_diagnosis_probes_in_level_order_under_smallest_labels(monkeypatch):
+    """The same search probes exactly these relaxed sets, in this order:
+    levels by cardinality and nodes sorted within a level; a level taken
+    in hash order probes in another order. Which unhit conflict labels a
+    node does not show here: every ancestor's label is a known conflict
+    that a probed node hits, so some child on its path relaxes a member
+    of it, and the node is reached under any labelling. The label only
+    decides how many other nodes a level holds."""
+    spec, _ = faulty_layered_circuit(0, 10, 60, 12, 2)
+    net = build_network(spec)
+    probed = []
+    original = diagnosis.check_consistent
+
+    def recorded(network):
+        probed.append(tuple(sorted(c for c, con in network.constraints.items() if not con.active)))
+        return original(network)
+
+    monkeypatch.setattr(diagnosis, "check_consistent", recorded)
+    diagnose(net, max_cardinality=2)
+    assert probed == [
+        (),
+        ("G1",),
+        ("G13",),
+        ("G28",),
+        ("G28", "G38"),
+        ("G28", "G48"),
+        ("G32", "G38"),
+        ("G33", "G38"),
+    ]
+
+
 def test_criterion_9_verify_chains_once_per_start(monkeypatch):
     """Verifying the rules of a random arity-5 table over three values runs
     the chaining kernel at most once per consistent start, once per

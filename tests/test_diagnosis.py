@@ -119,7 +119,7 @@ def network_state(net):
         },
         dict(net.firings),
         dict(net.active_firing),
-        (list(net.agenda.heap), set(net.agenda.queued), net.agenda.ordered),
+        (list(net.agenda.heap), set(net.agenda.queued)),
         list(net.empty_order),
         {oid: obs.active for oid, obs in net.observations.items()},
         list(net.events),

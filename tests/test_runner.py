@@ -20,6 +20,7 @@ from dyncsp import (
     run_script,
 )
 from dyncsp import runner
+from dyncsp.core import RuleTemplate
 
 NETWORK = """\
 var A bool
@@ -237,8 +238,16 @@ def test_build_network_rules_equal_a_fresh_compile_of_each_constraint(monkeypatc
     assert sum(calls.values()) == shapes < constraints  # one compile per shape and network
 
 
-def test_a_scope_that_repeats_a_variable_is_compiled_on_its_own(monkeypatch):
+def test_a_scope_that_repeats_a_variable_is_rejected_before_it_is_bound(monkeypatch):
     calls = count_compiles(monkeypatch)
+    bound = Counter()
+    bind = RuleTemplate.bind
+
+    def counted_bind(template, owner, scope):
+        bound[owner] += 1
+        return bind(template, owner, scope)
+
+    monkeypatch.setattr(RuleTemplate, "bind", counted_bind)
     spec = NetworkSpec(
         variables=(VariableDecl("A", ("a", "b")), VariableDecl("B", ("a", "b"))),
         tables=(
@@ -248,7 +257,8 @@ def test_a_scope_that_repeats_a_variable_is_compiled_on_its_own(monkeypatch):
     )
     with pytest.raises(ValueError, match="repeats a scope variable"):
         build_network(spec)
-    assert calls == {"T1": 1, "T2": 1}  # T2 has T1's shape but was not renamed from it
+    assert calls == {"T1": 1}  # T2 has T1's shape, so it reuses T1's template
+    assert bound == {"T1": 1}  # add_constraint rejects T2's scope before binding
 
 
 def test_a_gate_and_a_table_of_its_truth_table_share_one_compile(monkeypatch):

@@ -51,32 +51,47 @@ class ConditionLiteral(NamedTuple):
     value: Value
 
 
-@dataclass
+@dataclass(slots=True)
 class FiniteDomain:
     """Declared values of one variable plus the masks hiding some of them.
 
     A value is visible iff it has no entry in ``mask``. The declared tuple
     never changes; all narrowing happens through masks, each counted per
     justification so independent causes can hide the same value.
+    ``visible_bits`` mirrors the mask as one int: bit i is set iff
+    ``declared[i]`` is visible, the per-variable bit order of the
+    compiler's ``_Layout``. ``hide`` and ``unhide`` are the only writers of
+    both, so the variable is instantiated to a value exactly when
+    ``visible_bits`` equals that value's :meth:`bit`.
     """
 
     variable: VariableId
     declared: tuple[Value, ...]
     mask: dict[Value, Counter] = field(default_factory=dict)
+    visible_bits: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.visible_bits = sum(1 << i for i, v in enumerate(self.declared) if v not in self.mask)
+
+    def bit(self, value: Value) -> int:
+        """The bit of a declared ``value``; 0 for any other value."""
+        return 1 << self.declared.index(value) if value in self.declared else 0
 
     def visible(self) -> tuple[Value, ...]:
         return tuple(v for v in self.declared if v not in self.mask)
 
     def is_visible(self, value: Value) -> bool:
-        return value not in self.mask
+        return bool(self.visible_bits & self.bit(value))
 
     def visible_count(self) -> int:
         return len(self.declared) - len(self.mask)
 
     def hide(self, value: Value, cause: Cause) -> bool:
         """Count one more ``cause`` hiding ``value``; True if it was visible."""
+        bit = 1 << self.declared.index(value)
         newly = value not in self.mask
         self.mask.setdefault(value, Counter())[cause] += 1
+        self.visible_bits &= ~bit
         return newly
 
     def unhide(self, value: Value, cause: Cause) -> bool:
@@ -87,10 +102,11 @@ class FiniteDomain:
             del ctr[cause]
         if not ctr:
             del self.mask[value]
+            self.visible_bits |= 1 << self.declared.index(value)
         return not ctr
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtensionalConstraint:
     """An n-ary relation listed by its allowed tuples."""
 
@@ -132,9 +148,13 @@ class RuleTemplate:
     A shape is the allowed tuples plus the declared values at each scope
     position, and compiling depends on nothing else, so :meth:`bind` gives
     another constraint of the shape exactly the rules ``generate`` would.
-    ``conditioned[p][v]`` and ``excluding[p][v]`` list the indices of the
-    rules that test value v at scope position p and whose conclusions
-    exclude it there; ``unconditional`` those that test nothing.
+    A value at scope position p is named by its bit in the declared
+    values there, as in :class:`FiniteDomain`. ``packed[i - 1]`` is rule
+    i as ``(conditions, exclusions)``: its (position, bit) conditions in
+    order, and per concluded position the bits its conclusions exclude.
+    ``conditioned[p][b]`` and ``excluding[p][b]`` list the indices of the
+    rules that test bit b at position p and whose conclusions exclude it
+    there; ``unconditional`` those that test nothing.
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
@@ -153,10 +173,12 @@ class RuleTemplate:
                     )
         self.owner, self.scope, self.allowed = cid, scope, constraint.allowed
         self.domains, self.rules = domains, rules
-        self.conditioned: list[dict[Value, list[int]]] = [{} for _ in scope]
-        self.excluding: list[dict[Value, list[int]]] = [{} for _ in scope]
+        self.packed: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
+        self.conditioned: list[dict[int, list[int]]] = [{} for _ in scope]
+        self.excluding: list[dict[int, list[int]]] = [{} for _ in scope]
         self.unconditional = [rule.index for rule in rules if not rule.conditions]
         position = {var: p for p, var in enumerate(scope)}
+        bits = [{value: 1 << i for i, value in enumerate(declared)} for declared in domains]
         seen: set[RuleId] = set()
         for index, rule in enumerate(rules, start=1):
             if rule.id in seen:
@@ -169,16 +191,23 @@ class RuleTemplate:
             for var, value in (*rule.conditions, *((v, x) for v, xs in rule.conclusions for x in xs)):
                 if var not in position:
                     raise ValueError(f"rule {rule.id!r} uses {var!r}, outside the scope of {cid!r}")
-                if value not in domains[position[var]]:
+                if value not in bits[position[var]]:
                     raise ValueError(
                         f"rule {rule.id!r} names value {value!r} outside the domain of {var!r}"
                     )
-            for var, value in rule.conditions:
-                self.conditioned[position[var]].setdefault(value, []).append(index)
+            conditions = [(position[var], bits[position[var]][value]) for var, value in rule.conditions]
+            exclusions = []
+            for p, bit in conditions:
+                self.conditioned[p].setdefault(bit, []).append(index)
             for var, vals in rule.conclusions:
-                for value in domains[position[var]]:
+                p = position[var]
+                excluded = 0
+                for value, bit in bits[p].items():
                     if value not in vals:
-                        self.excluding[position[var]].setdefault(value, []).append(index)
+                        excluded |= bit
+                        self.excluding[p].setdefault(bit, []).append(index)
+                exclusions.append((p, excluded))
+            self.packed.append((conditions, exclusions))
 
     def bind(self, owner: ConstraintId, scope: tuple[VariableId, ...]) -> tuple[PropagationRule, ...]:
         """The rules of ``owner``, a constraint of this shape over ``scope``."""
@@ -257,11 +286,17 @@ class Agenda:
     def __len__(self) -> int:
         return len(self.heap)
 
-    def push(self, entries: Iterable[AgendaEntry]) -> None:
-        for entry in entries:
-            if entry not in self.queued:
-                self.queued.add(entry)
-                heapq.heappush(self.heap, entry)
+    def __bool__(self) -> bool:
+        return bool(self.heap)
+
+    def push(self, constraint: ConstraintId, indices: Iterable[int]) -> None:
+        """Queue the rules of ``constraint`` at ``indices``, in that order."""
+        heap, queued = self.heap, self.queued
+        for index in indices:
+            entry = (constraint, index)
+            if entry not in queued:
+                queued.add(entry)
+                heapq.heappush(heap, entry)
 
     def pop(self, rng=None) -> AgendaEntry:
         heap = self.heap
@@ -289,10 +324,12 @@ class Network:
     test mode for exercising confluence).
 
     ``templates`` maps a constraint to the rule template it was bound
-    from, which constraints of one shape share, and ``occurrences`` maps
+    from, which constraints of one shape share, ``scope_domains`` maps it
+    to the domains of its scope, in scope order, and ``occurrences`` maps
     a variable to its (constraint, scope position) pairs. Together they
-    say which rules a mutation can make applicable, and ``agenda`` holds
-    every rule that may be applicable right now.
+    say which rules a mutation can make applicable, and let rule checks
+    read the template's packed positions and bits, not names. ``agenda``
+    holds every rule that may be applicable right now.
 
     ``firings`` keeps every firing, cancelled or not, and
     ``active_firing`` maps a rule to its one active firing; the watch
@@ -308,6 +345,7 @@ class Network:
         self.rules: dict[ConstraintId, tuple[PropagationRule, ...]] = {}
         self.rule_index: dict[RuleId, PropagationRule] = {}
         self.templates: dict[ConstraintId, RuleTemplate] = {}
+        self.scope_domains: dict[ConstraintId, tuple[FiniteDomain, ...]] = {}
         self.occurrences: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
         self.agenda = Agenda()
         self.observations: dict[ObservationId, Observation] = {}
@@ -346,7 +384,8 @@ class Network:
         for var in scope:
             if var not in self.domains:
                 raise ValueError(f"constraint {cid!r} uses undeclared variable {var!r}")
-        domains = tuple(self.domains[var].declared for var in scope)
+        scope_domains = tuple(self.domains[var] for var in scope)
+        domains = tuple(dom.declared for dom in scope_domains)
         if isinstance(rules, RuleSet):
             if rules.owner != cid:
                 raise ValueError(f"rule set for {rules.owner!r} attached to {cid!r}")
@@ -357,6 +396,7 @@ class Network:
         self.constraints[cid] = constraint
         self.rules[cid] = bound
         self.templates[cid] = rules
+        self.scope_domains[cid] = scope_domains
         self.rule_index.update((rule.id, rule) for rule in bound)
         for position, var in enumerate(scope):
             self.occurrences.setdefault(var, []).append((cid, position))
@@ -393,16 +433,13 @@ class Network:
         comes to hold, so at the latest with its last; a fresh constraint
         queues only its unconditional rules.
         """
-        template, rules = self.templates[constraint_id], self.rules[constraint_id]
+        template, doms = self.templates[constraint_id], self.scope_domains[constraint_id]
         ready = list(template.unconditional)
-        for position, var in enumerate(self.constraints[constraint_id].scope):
-            dom = self.domains[var]
-            if dom.visible_count() == 1:
-                ready += template.conditioned[position].get(dom.visible()[0], ())
+        for position, dom in enumerate(doms):
+            ready += template.conditioned[position].get(dom.visible_bits, ())
         self.agenda.push(
-            (constraint_id, i)
-            for i in ready
-            if all(is_instantiated(self, *lit) for lit in rules[i - 1].conditions)
+            constraint_id,
+            [i for i in ready if conditions_hold(doms, template.packed[i - 1][0])],
         )
 
     def first_empty(self) -> VariableId | None:
@@ -479,18 +516,17 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
         if variable in network.empty_order:
             network.empty_order.remove(variable)
         _queue_instantiated(network, dom)
+    bit = dom.bit(value)
     for cid, position in network.occurrences.get(variable, ()):
-        excluding = network.templates[cid].excluding[position].get(value, ())
-        network.agenda.push((cid, i) for i in excluding)
+        network.agenda.push(cid, network.templates[cid].excluding[position].get(bit, ()))
     return True
 
 
 def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
     """Queue the rules whose condition on ``dom`` holds now that one value is left."""
-    (value,) = dom.visible()
+    bit = dom.visible_bits
     for cid, position in network.occurrences.get(dom.variable, ()):
-        conditioned = network.templates[cid].conditioned[position].get(value, ())
-        network.agenda.push((cid, i) for i in conditioned)
+        network.agenda.push(cid, network.templates[cid].conditioned[position].get(bit, ()))
 
 
 def restrict(
@@ -518,6 +554,16 @@ def restrict(
 
 
 def is_instantiated(network: Network, variable: VariableId, value: Value) -> bool:
+    """True iff ``value`` is the one visible value of ``variable``."""
     dom = network.domain(variable)
-    return dom.visible_count() == 1 and dom.is_visible(value)
+    bit = dom.bit(value)
+    return bit != 0 and dom.visible_bits == bit
+
+
+def conditions_hold(doms: tuple[FiniteDomain, ...], conditions) -> bool:
+    """True iff each packed (position, bit) condition holds over the scope ``doms``."""
+    for position, bit in conditions:
+        if doms[position].visible_bits != bit:
+            return False
+    return True
 

@@ -36,18 +36,20 @@ def _unfounded_firings(network: Network, variable: VariableId, value: Value) -> 
     that only hide each other's values form a cycle of self-support, and
     its oldest member is unfounded. The firings that test ``variable`` at
     another value are found as queuing finds rules: through its
-    occurrences, the template's ``conditioned`` lists, and
-    ``active_firing``.
+    occurrences, the template's ``conditioned`` lists (keyed by the
+    value's bit), and ``active_firing``.
     """
-    causes = network.domains[variable].mask.get(value, ())
+    dom = network.domains[variable]
+    causes = dom.mask.get(value, ())
     if any(isinstance(cause, str) for cause in causes):
         return []
     oldest = min(causes, default=math.inf)
+    bit = dom.bit(value)
     unfounded = []
     for cid, position in network.occurrences.get(variable, ()):
         rules = network.rules[cid]
         for tested, indices in network.templates[cid].conditioned[position].items():
-            if tested == value:
+            if tested == bit:
                 continue
             for i in indices:
                 fid = network.active_firing.get(rules[i - 1].id)

@@ -16,6 +16,7 @@ from .core import (
     AgendaEntry,
     Cause,
     ConstraintId,
+    FiniteDomain,
     Firing,
     FiringId,
     Network,
@@ -24,7 +25,7 @@ from .core import (
     PropagationRule,
     VariableId,
     cause_key,
-    is_instantiated,
+    conditions_hold,
     restrict,
 )
 
@@ -49,23 +50,34 @@ class PropagationOutcome:
     conflict: tuple[VariableId, ConflictSet] | None = None
 
 
-def _would_shrink(network: Network, rule: PropagationRule) -> bool:
-    for var, vals in rule.conclusions:
-        allowed = set(vals)
-        if any(v not in allowed for v in network.domain(var).visible()):
+def _would_shrink(doms: tuple[FiniteDomain, ...], exclusions) -> bool:
+    """True iff some packed (position, bits) exclusion meets a visible value."""
+    for position, bits in exclusions:
+        if doms[position].visible_bits & bits:
             return True
     return False
 
 
+def _packed(network: Network, rule: PropagationRule):
+    """The scope domains of ``rule``'s constraint and the rule's packed form.
+
+    Raises ``ValueError`` for a rule that is not the one the network
+    registered under its id: its packed form would be another rule's.
+    """
+    if network.rule_index.get(rule.id) is not rule:
+        raise ValueError(f"rule {rule.id!r} is not registered in this network")
+    owner = rule.owner
+    return network.scope_domains[owner], network.templates[owner].packed[rule.index - 1]
+
+
 def rule_applicable(network: Network, rule: PropagationRule) -> bool:
     """True iff firing the rule right now would be legal and useful."""
+    doms, (conditions, exclusions) = _packed(network, rule)
     if not network.constraints[rule.owner].active:
         return False
     if rule.id in network.active_firing:
         return False
-    if not all(is_instantiated(network, lit.variable, lit.value) for lit in rule.conditions):
-        return False
-    return _would_shrink(network, rule)
+    return conditions_hold(doms, conditions) and _would_shrink(doms, exclusions)
 
 
 def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
@@ -78,17 +90,18 @@ def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
     hides, so its exclusions stay in force if that other cause is later
     released. The ``fire`` event shares the firing's supports and effects.
     """
+    doms, (conditions, exclusions) = _packed(network, rule)
     if rule.id in network.active_firing:
         raise ValueError(f"rule {rule.id!r} already has an active firing")
-    for lit in rule.conditions:
-        if not is_instantiated(network, lit.variable, lit.value):
-            raise ValueError(f"condition {lit.variable}={lit.value} of {rule.id!r} does not hold")
-    if not _would_shrink(network, rule):
+    for (position, bit), (var, value) in zip(conditions, rule.conditions):
+        if doms[position].visible_bits != bit:
+            raise ValueError(f"condition {var}={value} of {rule.id!r} does not hold")
+    if not _would_shrink(doms, exclusions):
         return None
     supports = []
-    for var, value in rule.conditions:
+    for (position, _), (var, value) in zip(conditions, rule.conditions):
         causes: set[Cause] = set()
-        for ctr in network.domain(var).mask.values():
+        for ctr in doms[position].mask.values():
             causes.update(ctr)
         supports.append((var, value, tuple(sorted(causes, key=cause_key))))
     fid = network.next_firing_id
@@ -187,7 +200,8 @@ def propagate(network: Network) -> PropagationOutcome:
                 return _conflict_outcome(network, emptied, fired)
         return PropagationOutcome(FIXPOINT, fired)
     finally:
-        agenda.push(held)
+        for cid, index in held:
+            agenda.push(cid, (index,))
 
 
 def assert_observation(network: Network, observation: Observation) -> PropagationOutcome:

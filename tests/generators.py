@@ -8,7 +8,7 @@ acyclic and every generated network is satisfiable before observations.
 import random
 from itertools import product
 
-from dyncsp import GateDecl, NetworkSpec, ObservationDecl, VariableDecl
+from dyncsp import GateDecl, NetworkSpec, ObservationDecl, TableDecl, VariableDecl
 
 from oracles import BOOL, GATE_FN, gate_rows
 
@@ -148,6 +148,29 @@ def random_sequence(seed, spec, length=12):
             relaxed.remove(cid)
             steps.append(("restore", cid))
     return steps
+
+
+# Declared orders of the same values: a relation over "a" and "b" fits all
+# four, one over "a", "b" and "c" only the last two.
+ORDERS = (("a", "b"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b"))
+
+
+def shared_shape_spec(seed):
+    """Tables reusing three relations over a pool of variables with mixed domains."""
+    rng = random.Random(seed)
+    variables = tuple(VariableDecl(f"V{i}", rng.choice(ORDERS)) for i in range(8))
+    tables = []
+    for r in range(3):
+        arity = rng.randint(2, 3)
+        values = "abc"[: rng.randint(2, 3)]
+        universe = list(product(values, repeat=arity))
+        rows = tuple(rng.sample(universe, rng.randint(1, len(universe))))
+        fits = [v.name for v in variables if set(values) <= set(v.domain)]
+        for k in range(4):
+            if len(fits) >= arity:
+                tables.append(TableDecl(f"T{r}{k}", tuple(rng.sample(fits, arity)), rows))
+    rng.shuffle(tables)
+    return NetworkSpec(variables=variables, tables=tuple(tables))
 
 
 def oracle_structures(spec):

@@ -62,6 +62,37 @@ def gac_fixpoint(domains, constraints):
     return doms
 
 
+def singleton_support_fixpoint(domains, constraints):
+    """Filtering by the tuples that agree with the instantiated variables, to stability.
+
+    A compiled rule tests only instantiated variables, so this is the
+    fixpoint the rules reach: each constraint keeps a value at one scope
+    position iff some allowed row has it there and agrees with every other
+    position whose domain is a singleton. A narrowed domain of two or more
+    values supports everything. On boolean domains that domain is full,
+    so the result equals :func:`gac_fixpoint`; on larger domains it can
+    keep values that generalized arc consistency removes. Same arguments
+    and result as :func:`gac_fixpoint`.
+    """
+    doms = {v: set(vals) for v, vals in domains.items()}
+    changed = True
+    while changed:
+        changed = False
+        for scope, allowed in constraints:
+            fixed = {j: next(iter(doms[v])) for j, v in enumerate(scope) if len(doms[v]) == 1}
+            for i, var in enumerate(scope):
+                supported = {
+                    row[i]
+                    for row in allowed
+                    if all(row[j] == value for j, value in fixed.items() if j != i)
+                }
+                new = doms[var] & supported
+                if new != doms[var]:
+                    doms[var] = new
+                    changed = True
+    return doms
+
+
 def pinned_domains(domains, observations):
     """Apply observations (var, value) as domain pre-restrictions."""
     doms = {v: set(vals) for v, vals in domains.items()}

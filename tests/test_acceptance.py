@@ -33,7 +33,7 @@ from dyncsp import (
     verify_rules,
 )
 from dyncsp import compiler, diagnosis, engine, runner
-from dyncsp.core import RuleTemplate
+from dyncsp.core import FiniteDomain, RuleTemplate
 
 from generators import (
     faulty_layered_circuit,
@@ -502,6 +502,26 @@ def test_criterion_9_first_assert_checks_few_rules_per_firing(monkeypatch):
     assert out.status == "fixpoint"
     assert len(out.fired) == 10_000
     assert checks <= 3 * len(out.fired)
+
+
+def test_criterion_9_first_assert_reads_no_visible_tuples(monkeypatch):
+    """The first assert on a 10 000-gate chain checks and fires its rules on
+    each domain's int of visible values and builds no tuple of them.
+    Reading domains by name and value, it called ``visible`` 40 001 times."""
+    net = _inverter_chain(10_000)
+    calls = 0
+    original = FiniteDomain.visible
+
+    def counted(dom):
+        nonlocal calls
+        calls += 1
+        return original(dom)
+
+    monkeypatch.setattr(FiniteDomain, "visible", counted)
+    out = assert_observation(net, Observation("M1", "V0", "true"))
+    assert out.status == "fixpoint"
+    assert len(out.fired) == 10_000
+    assert calls == 0
 
 
 def test_criterion_9_chain_work_is_proportional_to_the_change(monkeypatch):

@@ -303,6 +303,21 @@ def test_is_instantiated():
         is_instantiated(net, "Z", "true")
 
 
+def test_values_outside_the_declared_domain_are_never_visible_or_instantiated():
+    """A pinned variable is instantiated to its one visible value only; a
+    value it never declared is neither visible nor its instantiation."""
+    net = bool_net("A")
+    dom = net.domains["A"]
+    assert not dom.is_visible("bogus") and not is_instantiated(net, "A", "bogus")
+    mask_value(net, "A", "false", "M1")
+    assert is_instantiated(net, "A", "true")
+    assert not dom.is_visible("bogus") and not is_instantiated(net, "A", "bogus")
+    mask_value(net, "A", "true", "M2")
+    assert not dom.is_visible("bogus") and not is_instantiated(net, "A", "bogus")
+    with pytest.raises(ValueError, match="unknown variable"):
+        is_instantiated(net, "Z", "bogus")
+
+
 def test_snapshot_rollback_restores_everything():
     net = bool_net("A", "B")
     mask_value(net, "A", "true", "M1")

@@ -15,6 +15,7 @@ from dyncsp import (
     diagnose,
     gate_table,
     generate,
+    propagate,
     relax,
     restore,
     retract_observation,
@@ -22,8 +23,14 @@ from dyncsp import (
 from dyncsp.dynamics import cancel_firing
 from dyncsp.engine import rule_applicable
 
-from generators import oracle_structures, random_network, random_sequence
-from oracles import BOOL, gac_fixpoint, pinned_domains, replay_events
+from generators import oracle_structures, random_network, random_sequence, shared_shape_spec
+from oracles import (
+    BOOL,
+    gac_fixpoint,
+    pinned_domains,
+    replay_events,
+    singleton_support_fixpoint,
+)
 
 
 def gate_net(*decls):
@@ -359,6 +366,78 @@ def test_dynamic_sequences_keep_the_arc_consistency_fixpoint():
                 assert {v: set(vals) for v, vals in visible(net).items()} == expected, (seed, step)
             else:
                 assert net.first_empty() is not None, (seed, step)
+
+
+def test_singleton_support_equals_arc_consistency_on_boolean_domains():
+    """The oracle for mixed domains agrees with GAC wherever every domain
+    is boolean, here on random gates under random pins: both empty a
+    domain or neither does, and then they keep the same values."""
+    for seed in range(200):
+        spec = random_network(seed, max_vars=10, max_gates=10)
+        domains, constraints = oracle_structures(spec)
+        rng = random.Random(seed)
+        pins = [(v, rng.choice(BOOL)) for v in rng.sample(sorted(domains), rng.randint(0, 3))]
+        start = pinned_domains(domains, pins)
+        bodies = list(constraints.values())
+        single, gac = singleton_support_fixpoint(start, bodies), gac_fixpoint(start, bodies)
+        assert all(single.values()) == all(gac.values()), seed
+        if all(gac.values()):
+            assert single == gac, seed
+
+
+def assert_bits_mirror_masks(net):
+    """Each domain's int has bit i set iff ``declared[i]`` is visible."""
+    for dom in net.domains.values():
+        shown = dom.visible()
+        expected = sum(1 << i for i, value in enumerate(dom.declared) if value in shown)
+        assert dom.visible_bits == expected, (dom.variable, shown, bin(dom.visible_bits))
+
+
+def test_mixed_domains_keep_the_rule_fixpoint_through_pins_relaxes_and_rollbacks():
+    """Tables over two- and three-valued domains in several declared orders,
+    through random pins, retracts, relax/restore and snapshot/rollback.
+
+    After every step each domain's int mirrors its masks, and while no
+    domain is empty the visible domains are the singleton-support fixpoint
+    of the active tables and pins, which GAC never undercuts. The rules
+    test instantiated variables only, so on these domains GAC can remove
+    more than they do and is checked as a lower bound."""
+    for seed in range(60):
+        spec = shared_shape_spec(seed)
+        domains, constraints = oracle_structures(spec)
+        net = build_network(spec)
+        propagate(net)  # unconditional rules drop values no allowed row has
+        rng = random.Random(seed ^ 0x3A1)
+        pins, relaxed, marks = {}, set(), []
+        for step in range(40):
+            roll = rng.random()
+            if roll < 0.35 or not pins and roll < 0.5:
+                var = rng.choice(sorted(domains))
+                oid, value = f"S{step}", rng.choice(domains[var])
+                assert_observation(net, Observation(oid, var, value))
+                pins[oid] = (var, value)
+            elif roll < 0.5:
+                oid = rng.choice(sorted(pins))
+                retract_observation(net, oid)
+                del pins[oid]
+            elif roll < 0.8 and constraints:
+                cid = rng.choice(sorted(constraints))
+                (restore if cid in relaxed else relax)(net, cid)
+                relaxed ^= {cid}
+            elif roll < 0.9 or not marks:
+                marks.append((net.snapshot(), dict(pins), set(relaxed)))
+            else:
+                mark, pins, relaxed = marks.pop()
+                net.rollback(mark)
+            assert_bits_mirror_masks(net)
+            if net.first_empty() is not None:
+                continue
+            start = pinned_domains(domains, pins.values())
+            active = [body for cid, body in constraints.items() if cid not in relaxed]
+            got = {v: set(vals) for v, vals in visible(net).items()}
+            assert got == singleton_support_fixpoint(start, active), (seed, step)
+            gac = gac_fixpoint(start, active)
+            assert all(gac[v] <= got[v] for v in got), (seed, step)
 
 
 def assert_agenda_covers_applicable_rules(net):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from dyncsp import (
     generate,
     propagate,
 )
-from dyncsp.core import is_instantiated
+from dyncsp.core import is_instantiated, mask_value
 from dyncsp.engine import fire_rule, rule_applicable
 
 from generators import oracle_structures, random_network, random_observations
@@ -74,6 +76,29 @@ def test_fire_rule_rejects_unmet_conditions_and_double_firing():
     assert_observation(net, Observation("M1", "S1", "false"))
     with pytest.raises(ValueError):
         fire_rule(net, rule)
+
+
+def test_rules_the_network_did_not_register_are_rejected():
+    """A rule is checked and fired through the packed form registered under
+    its id, so a rule that is not the registered one must not reach it."""
+    net = circuit0_net()
+    other = circuit0_net()
+    mask_value(net, "S1", "true", "M1")  # pins S1 to false, not yet propagated
+    registered = net.rule("O3.R3")
+    assert rule_applicable(net, registered)
+    foreign = (
+        other.rule("O3.R3"),  # equal, but registered in another network
+        replace(registered, conclusions=(("E4", ("true",)),)),
+        replace(registered, id="O3.R9"),
+    )
+    events = len(net.events)
+    for rule in foreign:
+        with pytest.raises(ValueError, match=f"rule {rule.id!r} is not registered"):
+            fire_rule(net, rule)
+        with pytest.raises(ValueError, match=f"rule {rule.id!r} is not registered"):
+            rule_applicable(net, rule)
+    assert len(net.events) == events and "O3.R3" not in net.active_firing
+    assert fire_rule(net, registered) is not None
 
 
 def test_fire_rule_without_shrink_leaves_no_trace():

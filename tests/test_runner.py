@@ -1,7 +1,5 @@
 import json
-import random
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -21,6 +19,8 @@ from dyncsp import (
 )
 from dyncsp import runner
 from dyncsp.core import RuleTemplate
+
+from generators import shared_shape_spec
 
 NETWORK = """\
 var A bool
@@ -183,29 +183,6 @@ def test_build_network_compiles_every_declaration():
     assert net.constraints["N1"].label == "not(A) -> B"
     assert "M1" in net.observations
     assert net.domains["C"].visible() == ("true",)
-
-
-# Declared orders of the same values: a relation over "a" and "b" fits all
-# four, one over "a", "b" and "c" only the last two.
-ORDERS = (("a", "b"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b"))
-
-
-def shared_shape_spec(seed):
-    """Tables reusing three relations over a pool of variables with mixed domains."""
-    rng = random.Random(seed)
-    variables = tuple(VariableDecl(f"V{i}", rng.choice(ORDERS)) for i in range(8))
-    tables = []
-    for r in range(3):
-        arity = rng.randint(2, 3)
-        values = "abc"[: rng.randint(2, 3)]
-        universe = list(product(values, repeat=arity))
-        rows = tuple(rng.sample(universe, rng.randint(1, len(universe))))
-        fits = [v.name for v in variables if set(values) <= set(v.domain)]
-        for k in range(4):
-            if len(fits) >= arity:
-                tables.append(TableDecl(f"T{r}{k}", tuple(rng.sample(fits, arity)), rows))
-    rng.shuffle(tables)
-    return NetworkSpec(variables=variables, tables=tuple(tables))
 
 
 def count_compiles(monkeypatch):

@@ -11,12 +11,13 @@ copy reproduces the state exactly. The log is also the undo trail:
 ``Network.rollback`` inverts the events logged since a mark, newest
 first, so undo costs what changed, not the size of the network.
 
-Each network also keeps an agenda that holds every rule that may be
-applicable. Every mutation that can make a rule applicable queues it: a
-mask or release that leaves a condition variable instantiated, the
-release of a value that a rule's conclusion excludes, a new or restored
-constraint (only its rules whose conditions hold already). Propagation
-drains the agenda instead of rescanning every rule.
+Each network also keeps an agenda under one invariant: every applicable
+rule is queued, and a rule is queued only when its conditions hold.
+Every mutation that can make a rule applicable queues it once its
+conditions hold: a mask or release that leaves a condition variable
+instantiated, the release of a value that a rule's conclusion excludes,
+a new or restored constraint. Propagation drains the agenda instead of
+rescanning every rule.
 """
 
 from __future__ import annotations
@@ -273,6 +274,12 @@ AgendaEntry = tuple[ConstraintId, int]  # (constraint id, 1-based rule index)
 class Agenda:
     """Rules that may be applicable, each queued at most once.
 
+    Every applicable rule is queued, and a rule is queued only when its
+    conditions hold: mutations push rules through
+    :meth:`Network.push_holding`, and a propagation pass only returns the
+    entries it held back. A rule may still be inapplicable when it pops,
+    since a later release can widen a condition.
+
     Entries pop smallest first, or uniformly at random given the
     network's rng. A network keeps its rng for life, so an agenda pops
     only one way; a random pop swaps the entry out and leaves the list
@@ -329,7 +336,8 @@ class Network:
     a variable to its (constraint, scope position) pairs. Together they
     say which rules a mutation can make applicable, and let rule checks
     read the template's packed positions and bits, not names. ``agenda``
-    holds every rule that may be applicable right now.
+    holds every rule that is applicable right now, and a rule enters it
+    only when all its conditions hold (:meth:`push_holding`).
 
     ``firings`` keeps every firing, cancelled or not, and
     ``active_firing`` maps a rule to its one active firing; the watch
@@ -429,17 +437,27 @@ class Network:
     def queue_rules(self, constraint_id: ConstraintId) -> None:
         """Queue the rules of one constraint whose conditions all hold now.
 
-        Any other rule is queued by its watches when one of its conditions
-        comes to hold, so at the latest with its last; a fresh constraint
-        queues only its unconditional rules.
+        Any other rule is queued by its watches when its last condition
+        comes to hold, so the agenda keeps its invariant: every applicable
+        rule is queued, and only rules whose conditions hold are. A fresh
+        constraint queues only its unconditional rules.
         """
         template, doms = self.templates[constraint_id], self.scope_domains[constraint_id]
         ready = list(template.unconditional)
         for position, dom in enumerate(doms):
             ready += template.conditioned[position].get(dom.visible_bits, ())
+        self.push_holding(constraint_id, ready)
+
+    def push_holding(self, constraint_id: ConstraintId, indices: Iterable[int]) -> None:
+        """Queue the rules of ``constraint_id`` at ``indices`` whose conditions all hold.
+
+        The one way a mutation queues rules. A watch triggers on one
+        literal, and the rule joins the queue only if the rest of it holds
+        too; it is queued again when its last condition comes to hold.
+        """
+        doms, packed = self.scope_domains[constraint_id], self.templates[constraint_id].packed
         self.agenda.push(
-            constraint_id,
-            [i for i in ready if conditions_hold(doms, template.packed[i - 1][0])],
+            constraint_id, [i for i in indices if conditions_hold(doms, packed[i - 1][0])]
         )
 
     def first_empty(self) -> VariableId | None:
@@ -518,15 +536,15 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
         _queue_instantiated(network, dom)
     bit = dom.bit(value)
     for cid, position in network.occurrences.get(variable, ()):
-        network.agenda.push(cid, network.templates[cid].excluding[position].get(bit, ()))
+        network.push_holding(cid, network.templates[cid].excluding[position].get(bit, ()))
     return True
 
 
 def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
-    """Queue the rules whose condition on ``dom`` holds now that one value is left."""
+    """Queue the rules conditioned on ``dom``'s one value left whose other conditions hold."""
     bit = dom.visible_bits
     for cid, position in network.occurrences.get(dom.variable, ()):
-        network.agenda.push(cid, network.templates[cid].conditioned[position].get(bit, ()))
+        network.push_holding(cid, network.templates[cid].conditioned[position].get(bit, ()))
 
 
 def restrict(

@@ -69,7 +69,7 @@ def cancel_firing(network: Network, firing_id: FiringId) -> ChangeRecord:
     that is not is a no-op. The rule needs no agenda entry of its own:
     its firing masked every value the rule excludes, so the rule becomes
     useful again only when one of those values is released, which
-    queues it.
+    queues it once its conditions hold.
     """
     if firing_id not in network.firings:
         raise ValueError(f"unknown firing {firing_id!r}")

@@ -11,7 +11,8 @@ or a ratio of counts with ``tests/fixtures/traced_counts_seed1.json``.
 Prints each one that differs and exits 1 if any does. The counts do not
 depend on the machine or the hash seed (``perfbench/check_counts.py``),
 so a difference means the program does different work. A change that
-means to do so rewrites the fixture with ``--write`` and says why.
+means to do so rewrites the fixture with ``--write``, which prints each
+count it changes (workload, name, old -> new), and says why.
 """
 
 from __future__ import annotations
@@ -37,26 +38,36 @@ def traced_counts(workload: str) -> dict[str, float]:
     return {name: m["value"] for name, m in metrics.items() if m["unit"] in ("count", "ratio")}
 
 
+def differences(expected: dict, counts: dict) -> list[tuple[str, str, object, object]]:
+    """(workload, name, old, new) for each count that is not as ``expected``."""
+    changed = []
+    for workload, got in counts.items():
+        want = expected.get(workload, {})
+        for name in sorted(want.keys() | got.keys()):
+            if want.get(name) != got.get(name):
+                changed.append((workload, name, want.get(name), got.get(name)))
+    return changed
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="rewrite the fixture from this checkout")
     args = parser.parse_args()
     counts = {workload: traced_counts(workload) for workload in WORKLOADS}
+    expected = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    changed = differences(expected, counts)
     if args.write:
+        for workload, name, old, new in changed:
+            print(f"{workload}: {name} {old} -> {new}")
         FIXTURE.write_text(json.dumps(counts, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {FIXTURE.relative_to(ROOT)}")
+        print(f"wrote {FIXTURE.relative_to(ROOT)}, {len(changed)} counts changed")
         return 0
-    expected = json.loads(FIXTURE.read_text())
-    differing = 0
+    for workload, name, old, new in changed:
+        print(f"{workload}: {name} is {new}, expected {old}")
     for workload in WORKLOADS:
-        want, got = expected[workload], counts[workload]
-        for name in sorted(want.keys() | got.keys()):
-            if want.get(name) != got.get(name):
-                differing += 1
-                print(f"{workload}: {name} is {got.get(name)}, expected {want.get(name)}")
-        print(f"{workload}: {len(want)} counts compared")
-    print("counts equal the fixture" if not differing else f"{differing} counts differ")
-    return 1 if differing else 0
+        print(f"{workload}: {len(expected.get(workload, {}))} counts compared")
+    print("counts equal the fixture" if not changed else f"{len(changed)} counts differ")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

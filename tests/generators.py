@@ -88,15 +88,32 @@ def random_observations(seed, spec, max_count=None):
     )
 
 
-def random_table(seed, max_arity=4):
-    """A random non-empty boolean relation as (scope, rows)."""
+def random_table(seed, max_arity=4, min_arity=1, values=BOOL):
+    """A random non-empty relation over ``values`` as (scope, rows)."""
     rng = random.Random(seed)
-    arity = rng.randint(1, max_arity)
+    arity = rng.randint(min_arity, max_arity)
     scope = tuple(f"V{i}" for i in range(1, arity + 1))
-    universe = list(product(BOOL, repeat=arity))
+    universe = list(product(values, repeat=arity))
     count = rng.randint(1, len(universe))
     rows = frozenset(rng.sample(universe, count))
     return scope, rows
+
+
+def random_table_network(seed):
+    """Three random tables of arity 3-5 over seven variables with domain a, b, c.
+
+    A rule of an arity-5 table tests up to four variables. The tables need
+    not agree, so pins and even the tables alone can empty a domain.
+    """
+    rng = random.Random(seed)
+    values = ("a", "b", "c")
+    variables = tuple(VariableDecl(f"V{i}", values) for i in range(1, 8))
+    tables = []
+    for t in range(1, 4):
+        _, rows = random_table(rng.randrange(2**32), max_arity=5, min_arity=3, values=values)
+        scope = tuple(rng.sample([v.name for v in variables], len(next(iter(rows)))))
+        tables.append(TableDecl(f"T{t}", scope, tuple(sorted(rows))))
+    return NetworkSpec(variables=variables, tables=tuple(tables))
 
 
 def random_sequence(seed, spec, length=12):
@@ -107,8 +124,9 @@ def random_sequence(seed, spec, length=12):
     restores the same constraint, so round trips are exercised.
     """
     rng = random.Random(seed)
-    names = [v.name for v in spec.variables]
-    cids = [g.id for g in spec.gates]
+    domains = {v.name: v.domain for v in spec.variables}
+    names = list(domains)
+    cids = [g.id for g in spec.gates] + [t.id for t in spec.tables]
     active_obs = []
     relaxed = []
     steps = []
@@ -131,7 +149,8 @@ def random_sequence(seed, spec, length=12):
         if op == "assert":
             oid = f"S{next_obs}"
             next_obs += 1
-            steps.append(("assert", oid, rng.choice(names), rng.choice(BOOL)))
+            var = rng.choice(names)
+            steps.append(("assert", oid, var, rng.choice(domains[var])))
             active_obs.append(oid)
         elif op == "retract":
             oid = rng.choice(active_obs)

@@ -551,6 +551,33 @@ def test_criterion_9_chain_work_is_proportional_to_the_change(monkeypatch):
         assert checks <= 8 * len(out.fired)
 
 
+def test_criterion_9_observations_check_few_rules_per_firing(monkeypatch):
+    """Asserting, in order, the observations of a fault-free 300-gate layered
+    circuit fires 300 rules and checks at most 3 rules per firing. A watch
+    queues a rule only when all its conditions hold; queuing every rule
+    that tests the literal that came to hold checked 1690 (5.63 per
+    firing), most of them because another condition did not hold."""
+    spec, inverted = faulty_layered_circuit(0, 10, 300, 30, 0)
+    assert not inverted
+    net = build_network(spec, assert_observations=False)
+    checks = 0
+    original = engine.rule_applicable
+
+    def counted(network, rule):
+        nonlocal checks
+        checks += 1
+        return original(network, rule)
+
+    monkeypatch.setattr(engine, "rule_applicable", counted)
+    fired = 0
+    for obs in spec.observations:
+        out = assert_observation(net, Observation(obs.id, obs.variable, obs.value))
+        assert out.status == "fixpoint", obs.id
+        fired += len(out.fired)
+    assert fired == 300
+    assert checks <= 3 * fired
+
+
 def test_criterion_9_diagnosis_probes_only_where_no_known_conflict_decides(monkeypatch):
     """On a 60-gate layered circuit with two inverted gates, ``diagnose``
     with bound 2 probes (calls ``check_consistent``) at most 16 times.

@@ -23,7 +23,13 @@ from dyncsp import (
 from dyncsp.dynamics import cancel_firing
 from dyncsp.engine import rule_applicable
 
-from generators import oracle_structures, random_network, random_sequence, shared_shape_spec
+from generators import (
+    oracle_structures,
+    random_network,
+    random_sequence,
+    random_table_network,
+    shared_shape_spec,
+)
 from oracles import (
     BOOL,
     gac_fixpoint,
@@ -246,6 +252,26 @@ def test_retract_cancels_firings_that_only_hide_each_others_values():
     assert net.firings and net.active_firing == {}
 
 
+def test_releasing_a_value_of_an_emptied_variable_spares_the_firings_testing_it():
+    """N1 fires on A=true; a second pin hides A=true too and empties A.
+    Retracting that pin releases A=true, so A is {true} again and N1's
+    firing is still founded: no cancellation, nothing to fire again.
+    Taking the rules that test the released value for unfounded ones
+    would cancel the firing and fire the rule anew."""
+    net = gate_net(("N1", "not", "A", "B"))
+    assert_observation(net, Observation("M1", "A", "true"))
+    ((rule, fid),) = net.active_firing.items()
+    assert net.firings[fid].supports == (("A", "true", ("M1",)),)
+    assert assert_observation(net, Observation("M2", "A", "false")).status == "conflict"
+    assert net.first_empty() == "A"
+    mark = len(net.events)
+    out = retract_observation(net, "M2")
+    assert out.status == "fixpoint" and out.fired == []
+    assert [event for event in net.events[mark:] if event[0] == "cancel"] == []
+    assert net.active_firing == {rule: fid}
+    assert visible(net) == {"A": ("true",), "B": ("false",)}
+
+
 def test_retract_clears_a_standing_conflict():
     net = gate_net(("N1", "not", "A", "B"))
     assert_observation(net, Observation("M1", "A", "true"))
@@ -450,9 +476,15 @@ def assert_agenda_covers_applicable_rules(net):
 
 
 def test_agenda_holds_every_applicable_rule_through_dynamic_sequences():
+    """Gate networks, and random tables of arity 3-5 over three values whose
+    rules test up to four variables: a watch triggers on one literal and
+    queues the rule only if its other conditions hold, so the rule must
+    be queued again when its last condition comes to hold, whichever it
+    is."""
+    specs = [(seed, random_network(seed)) for seed in range(100)]
+    specs += [(seed, random_table_network(seed)) for seed in range(40)]
     for short_circuit in (False, True):
-        for seed in range(100):
-            spec = random_network(seed)
+        for seed, spec in specs:
             net = build_network(spec, short_circuit=short_circuit, assert_observations=False)
             for step in random_sequence(seed ^ 0xFADE, spec):
                 run_op(net, step)

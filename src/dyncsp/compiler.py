@@ -3,7 +3,7 @@
 ``generate`` walks the consistent partial assignments of a constraint in a
 fixed canonical order and emits a rule wherever the projections onto the
 unassigned variables are not already entailed by the rules emitted so far.
-A final minimization pass removes any rule whose conclusions the remaining
+A final reverse pass removes any rule whose conclusions the remaining
 rules re-derive, so the published rule set is irredundant.
 
 ``verify_rules`` checks a rule set against its constraint on four
@@ -26,13 +26,23 @@ unassigned variable, so ``generate`` reads its conclusions from it, and
 per consistent start. When both hold at every start, cr3 follows from
 the chaotic-iteration theorem, and firing orders are sampled only
 otherwise.
+
+Two shortcuts rest on one chaining lemma: a state that no rule can
+shrink and that lies inside a chain's start stays inside every state of
+that chain, unless one of its domains is empty (induction over the
+firings). So cr1 needs no pass over the forbidden full assignments:
+where cr1 holds at a maximal consistent part S of a forbidden full
+assignment t, the chain from S removes t's value of each variable
+outside S, so the chain from t empties a domain. This needs one allowed
+tuple, so an empty relation is rejected. And minimization is one
+reverse pass: no chain from a sound rule's conditions empties a domain,
+so dropping rules never makes a kept rule redundant.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
     ConditionLiteral,
@@ -46,6 +56,9 @@ from .core import (
 DomainMap = dict[VariableId, tuple[Value, ...]]
 # (condition field mask, condition bits, keep mask, rule); see _Layout
 _Packed = tuple[int, int, int, PropagationRule]
+# cr3 tries this many seeded firing orders per start when cr1 or cr2 fails
+_ORDERS = 10
+_SEED = 0
 
 
 def supporting_tuples(
@@ -221,26 +234,35 @@ def _candidate_assignments(layout: _Layout, max_size: int):
         yield from extend(0, size, {}, 0, 0)
 
 
-def _support_table(
-    constraint: ExtensionalConstraint, layout: _Layout
-) -> tuple[dict[int, int], dict[VariableId, int]]:
-    """The support table of ``constraint`` and the fields it is read with.
+def _prepare(
+    constraint: ExtensionalConstraint, declared: DomainMap
+) -> tuple[_Layout, dict[int, int], dict[VariableId, int]]:
+    """The layout over the scope, the support table and the fields it is read with.
 
-    The table maps every consistent partial assignment, keyed by the OR of
-    its value bits, to the OR of the bits of all its supporting tuples.
-    That union holds the exact projection of each unassigned variable and
-    every value a sound rule set must keep. A tuple value outside the
+    Rejects a scope variable without a declared domain, a repeated scope
+    variable and a relation that allows no tuples. The table maps every
+    consistent partial assignment, keyed by the OR of its value bits, to
+    the OR of the bits of all its supporting tuples. That union holds the
+    exact projection of each unassigned variable and every value a sound
+    rule set must keep. A tuple value outside the
     declared domains gets a bit of its own above ``layout.full``, so the
     union still shows it; the fields returned include those bits.
     """
-    if len(layout.declared) != len(constraint.scope):
+    scope = constraint.scope
+    for var in scope:
+        if var not in declared:
+            raise ValueError(f"no declared domain for scope variable {var!r}")
+    if len(set(scope)) != len(scope):
         raise ValueError(f"constraint {constraint.id!r} repeats a scope variable")
+    if not constraint.allowed:
+        raise ValueError(f"constraint {constraint.id!r} allows no tuples")
+    layout = _Layout({var: tuple(declared[var]) for var in scope})
     bits = dict(layout.bits)
     fields = dict(layout.fields)
     table: dict[int, int] = {}
     for row in constraint.allowed:
         row_bits = []
-        for var, value in zip(constraint.scope, row):
+        for var, value in zip(scope, row):
             bit = bits.get((var, value))
             if bit is None:
                 bit = bits[(var, value)] = 1 << len(bits)
@@ -252,22 +274,24 @@ def _support_table(
         union = keys[-1]  # every bit of the row
         for key in keys:
             table[key] = table.get(key, 0) | union
-    return table, fields
+    return layout, table, fields
 
 
-def _establishes(packed: list[_Packed], start: int, keep: int) -> bool:
-    """Whether chaining ``packed`` from ``start`` leaves only what ``keep`` keeps."""
-    return not _chain(packed, start) & ~keep
+def _rederived(packed: list[_Packed], item: _Packed, layout: _Layout) -> bool:
+    """Whether the other rules of ``packed`` re-derive ``item``'s conclusions from its conditions.
+
+    Only ``item`` itself is left out, by identity, so a second copy of
+    its rule counts among the others.
+    """
+    cm, cb, keep, _ = item
+    rest = [other for other in packed if other is not item]
+    return not _chain(rest, layout.full & ~cm | cb) & ~keep
 
 
 def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
     """Compile ``constraint`` into its minimal canonical rule set."""
     scope = constraint.scope
-    for var in scope:
-        if var not in declared:
-            raise ValueError(f"no declared domain for scope variable {var!r}")
-    layout = _Layout({var: declared[var] for var in scope})
-    table, fields = _support_table(constraint, layout)
+    layout, table, fields = _prepare(constraint, declared)
     packed: list[_Packed] = []
     for assignment, key, start in _candidate_assignments(layout, len(scope) - 1):
         union = table.get(key)
@@ -275,14 +299,14 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
             continue
         # the projections that actually restrict an unassigned variable
         conclusions = tuple(
-            (var, tuple(v for v in declared[var] if union & layout.bits[(var, v)]))
+            (var, tuple(v for v in layout.declared[var] if union & layout.bits[(var, v)]))
             for var in scope
             if var not in assignment and union & fields[var] != layout.fields[var]
         )
         if not conclusions:
             continue
-        if _establishes(packed, start, layout.keep(conclusions)):
-            continue
+        if not _chain(packed, start) & ~layout.keep(conclusions):
+            continue  # the rules so far establish it
         index = len(packed) + 1
         rule = PropagationRule(
             id=f"{constraint.id}.R{index}",
@@ -310,21 +334,15 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
 def _minimize(packed: list[_Packed], layout: _Layout) -> list[PropagationRule]:
     """Drop rules whose conclusions the remaining rules re-derive.
 
-    Scans in reverse emission order and repeats until stable, so later,
-    more specific rules are removed before the earlier rules they were
-    emitted under.
+    One pass in reverse emission order, so later, more specific rules go
+    before the earlier rules they were emitted under. The rules are sound,
+    so by the chaining lemma (see the module docstring) a drop never makes
+    a kept rule redundant, and the pass needs no restart.
     """
     kept = list(packed)
-    changed = True
-    while changed:
-        changed = False
-        for item in reversed(kept):
-            _, _, keep, rule = item
-            rest = [other for other in kept if other is not item]
-            if _establishes(rest, layout.pin(dict(rule.conditions)), keep):
-                kept = rest
-                changed = True
-                break
+    for item in reversed(packed):
+        if _rederived(kept, item, layout):
+            kept = [other for other in kept if other is not item]
     return [rule for _, _, _, rule in kept]
 
 
@@ -350,9 +368,6 @@ def verify_rules(
     rules: tuple[PropagationRule, ...] | list[PropagationRule],
     constraint: ExtensionalConstraint,
     declared: DomainMap,
-    *,
-    orders: int = 10,
-    seed: int = 0,
 ) -> VerificationReport:
     """Check a rule set against its constraint; failures carry witnesses.
 
@@ -360,13 +375,13 @@ def verify_rules(
     support table. If both hold at every consistent start, no closure
     empties a domain, so every firing order reaches the same fixpoint
     (Apt, "The essence of constraint propagation", 1999) and cr3 holds
-    without sampling. Only otherwise does cr3 try ``orders`` firing orders
-    per start, drawn from ``seed``.
+    without sampling. Only otherwise does cr3 try 10 firing orders per
+    start, drawn from seed 0. By the chaining lemma (see the module
+    docstring) the forbidden full assignments need no pass of their own.
     """
     scope = constraint.scope
-    layout = _Layout({var: tuple(declared[var]) for var in scope})
+    layout, table, fields = _prepare(constraint, declared)
     packed = layout.pack(rules)
-    table, fields = _support_table(constraint, layout)
     cr1 = cr2 = None
     for assignment, key, start in _candidate_assignments(layout, len(scope)):
         union = table.get(key)
@@ -398,33 +413,15 @@ def verify_rules(
             for assignment, key, _ in _candidate_assignments(layout, len(scope))
             if key in table
         ]
-        cr3 = _check_confluence(packed, layout, consistent, orders, seed)
+        cr3 = _check_confluence(packed, layout, consistent)
     else:
         cr3 = CriterionResult(True)
     return VerificationReport(
-        cr1=cr1 or _check_forbidden(packed, constraint, layout),
+        cr1=cr1 or CriterionResult(True),
         cr2=cr2 or CriterionResult(True),
         cr3=cr3,
         cr4=_check_irredundancy(packed, layout),
     )
-
-
-def _check_forbidden(packed, constraint, layout) -> CriterionResult:
-    """The rest of cr1: chaining from a forbidden full assignment empties a domain."""
-    for values in product(*(layout.declared[var] for var in constraint.scope)):
-        if values in constraint.allowed:
-            continue
-        full = dict(zip(constraint.scope, values))
-        state = _chain(packed, layout.pin(full))
-        if all(state & layout.fields[var] for var in constraint.scope):
-            return CriterionResult(
-                False,
-                {
-                    "start": full,
-                    "reason": "no variable emptied on a forbidden full assignment",
-                },
-            )
-    return CriterionResult(True)
 
 
 def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
@@ -453,12 +450,12 @@ def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
     )
 
 
-def _check_confluence(packed, layout, consistent, orders, seed) -> CriterionResult:
-    rng = random.Random(seed)
+def _check_confluence(packed, layout, consistent) -> CriterionResult:
+    rng = random.Random(_SEED)
     for assignment in consistent:
         start = layout.pin(assignment)
         reference = _chain(packed, start, first_only=True)
-        for _ in range(orders):
+        for _ in range(_ORDERS):
             order = rng.sample(packed, len(packed))
             result = _chain(order, start, first_only=True)
             if result != reference:
@@ -478,7 +475,8 @@ def _check_confluence(packed, layout, consistent, orders, seed) -> CriterionResu
 
 
 def _check_irredundancy(packed, layout) -> CriterionResult:
-    for cm, cb, keep, rule in packed:
+    for item in packed:
+        cm, cb, _, rule = item
         if cb & ~cm:  # packed as never firing; see _Layout.pack
             return CriterionResult(
                 False,
@@ -488,14 +486,12 @@ def _check_irredundancy(packed, layout) -> CriterionResult:
                     "reason": "the conditions can never hold together",
                 },
             )
-        rest = [other for other in packed if other[3] is not rule]
-        start = dict(rule.conditions)
-        if _establishes(rest, layout.pin(start), keep):
+        if _rederived(packed, item, layout):
             return CriterionResult(
                 False,
                 {
                     "rule": rule.id,
-                    "conditions": start,
+                    "conditions": dict(rule.conditions),
                     "conclusions": [[var, list(vals)] for var, vals in rule.conclusions],
                 },
             )

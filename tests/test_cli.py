@@ -160,10 +160,13 @@ def test_missing_file_exits_with_a_usage_error(capsys):
 
 def test_parse_errors_exit_with_a_usage_error(tmp_path, capsys):
     net = tmp_path / "broken.net"
-    net.write_text("var A bool\nvar A bool\n")
-    assert main(["compile", str(net)]) == 2
-    err = capsys.readouterr().err
-    assert "line 2" in err
+    for text, where in (
+        ("var A bool\nvar A bool\n", "line 2, column 5"),
+        ("var A bool\ntable T1 ( A Q ) : (true, true)\n", "line 2, column 14"),
+    ):
+        net.write_text(text)
+        assert main(["compile", str(net)]) == 2
+        assert where in capsys.readouterr().err
 
 
 def test_script_errors_exit_with_a_usage_error(tmp_path, capsys):

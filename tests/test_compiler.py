@@ -1,10 +1,11 @@
+import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyncsp import ExtensionalConstraint, dump_rules, gate_table, generate, verify_rules
+from dyncsp import ExtensionalConstraint, compiler, dump_rules, gate_table, generate, verify_rules
 from dyncsp.compiler import (
     _candidate_assignments,
     _check_confluence,
@@ -70,6 +71,13 @@ def test_gate_rule_counts():
     xor_rules = generate(c_xor, DECL3).rules
     assert len(xor_rules) == 12
     assert all(len(r.conditions) == 2 for r in xor_rules)
+
+
+def test_gate_table_rejects_unknown_kinds_and_arities():
+    with pytest.raises(ValueError, match="unknown gate kind 'buf'"):
+        gate_table("buf", 1)
+    with pytest.raises(ValueError, match="gate kind 'and' takes 2 inputs, not 3"):
+        gate_table("and", 3)
 
 
 def test_universal_constraint_compiles_to_no_rules():
@@ -246,17 +254,19 @@ def test_unsound_rule_fails_soundness_with_support_witness():
 
 
 def test_duplicated_rule_fails_irredundancy():
+    """A copy under a new id, or the very same rule object listed twice."""
     rules = list(generate(and_constraint(), DECL3).rules)
-    duplicate = PropagationRule(
+    copy = PropagationRule(
         id="C_and.X1",
         owner="C_and",
         index=len(rules) + 1,
         conditions=rules[0].conditions,
         conclusions=rules[0].conclusions,
     )
-    report = verify_rules(rules + [duplicate], and_constraint(), DECL3)
-    assert not report.cr4.passed
-    assert report.cr4.witness["rule"] in ("C_and.R1", "C_and.X1")
+    for duplicate in (copy, rules[0]):
+        report = verify_rules(rules + [duplicate], and_constraint(), DECL3)
+        assert not report.cr4.passed
+        assert report.cr4.witness["rule"] in ("C_and.R1", "C_and.X1")
 
 
 @pytest.mark.parametrize(
@@ -424,42 +434,83 @@ def test_a_scope_that_repeats_a_variable_is_rejected():
         verify_rules([], c, decl)
 
 
-@st.composite
-def mutated_rule_sets(draw):
+def test_a_scope_variable_without_a_declared_domain_is_rejected():
+    c = table_constraint("T", ("A", "B"), {("a", "b")})
+    decl = {"A": ("a", "b")}
+    with pytest.raises(ValueError, match="no declared domain for scope variable 'B'"):
+        generate(c, decl)
+    with pytest.raises(ValueError, match="no declared domain for scope variable 'B'"):
+        verify_rules([], c, decl)
+
+
+def test_an_empty_relation_is_rejected():
+    """The chaining lemma that stands in for a pass over the forbidden full
+    assignments needs one allowed tuple."""
+    c = table_constraint("T", ("A", "B"), set())
+    decl = {"A": ("a", "b"), "B": ("a", "b")}
+    with pytest.raises(ValueError, match="allows no tuples"):
+        generate(c, decl)
+    with pytest.raises(ValueError, match="allows no tuples"):
+        verify_rules([], c, decl)
+
+
+def test_tables_over_three_values_verify_and_exercise_minimization(monkeypatch):
+    """Arity 3-5 over a, b, c: every generated set passes, and some table
+    has a rule that the final pass drops."""
+    dropped = []
+    minimize = compiler._minimize
+
+    def counting(packed, layout):
+        kept = minimize(packed, layout)
+        dropped.append(len(packed) - len(kept))
+        return kept
+
+    monkeypatch.setattr(compiler, "_minimize", counting)
+    for seed in range(40):
+        scope, rows = random_table(seed, max_arity=5, min_arity=3, values=("a", "b", "c"))
+        decl = {v: ("a", "b", "c") for v in scope}
+        c = table_constraint("T", scope, rows)
+        report = verify_rules(generate(c, decl).rules, c, decl)
+        assert report.passed, (seed, report)
+    assert any(dropped)
+
+
+def damaged_rule_set(choose):
     """A random table with its generated rules, some dropped and some random ones added.
 
     Arity 1-4, each domain of 2 or 3 values; added rules condition and
-    conclude on declared values only.
+    conclude on declared values only. ``choose`` picks one item of a
+    sequence, so Hypothesis and a seeded ``random.Random`` drive one build.
     """
-    scope = ("V1", "V2", "V3", "V4")[: draw(st.integers(1, 4))]
-    declared = {
-        var: draw(st.sampled_from((("a", "b"), ("a", "b", "c"), ("x", "y", "z")))) for var in scope
-    }
+    booleans = (False, True)
+    scope = ("V1", "V2", "V3", "V4")[: choose(range(1, 5))]
+    declared = {var: choose((("a", "b"), ("a", "b", "c"), ("x", "y", "z"))) for var in scope}
     universe = list(product(*(declared[var] for var in scope)))
-    keep = draw(st.lists(st.booleans(), min_size=len(universe), max_size=len(universe)))
-    rows = {row for row, kept in zip(universe, keep) if kept} or {universe[0]}
+    rows = {row for row in universe if choose(booleans)} or {universe[0]}
     c = table_constraint("T", scope, rows)
     rules = list(generate(c, declared).rules)
-    dropped = draw(st.sets(st.integers(0, max(len(rules) - 1, 0)), max_size=2))
+    dropped = {choose(range(len(rules))) for _ in range(choose(range(3)))} if rules else set()
     rules = [rule for i, rule in enumerate(rules) if i not in dropped]
-    for k in range(draw(st.integers(0, 2))):
-        conditions = draw(st.sets(st.sampled_from(scope), max_size=len(scope) - 1))
-        concluded = draw(st.sets(st.sampled_from(scope), min_size=1))
+    for k in range(choose(range(3))):
+        conditions = {choose(scope) for _ in range(choose(range(len(scope))))}
+        concluded = {choose(scope) for _ in range(choose(range(1, len(scope) + 1)))}
         rule = PropagationRule(
             f"T.X{k}",
             "T",
             100 + k,
+            tuple(ConditionLiteral(var, choose(declared[var])) for var in sorted(conditions)),
             tuple(
-                ConditionLiteral(var, draw(st.sampled_from(declared[var])))
-                for var in sorted(conditions)
-            ),
-            tuple(
-                (var, tuple(v for v in declared[var] if draw(st.booleans())))
+                (var, tuple(v for v in declared[var] if choose(booleans)))
                 for var in sorted(concluded)
             ),
         )
-        rules.insert(draw(st.integers(0, len(rules))), rule)
+        rules.insert(choose(range(len(rules) + 1)), rule)
     return c, declared, rules
+
+
+@st.composite
+def mutated_rule_sets(draw):
+    return damaged_rule_set(lambda options: draw(st.sampled_from(options)))
 
 
 def brute_cr1_cr2(c, declared, rules):
@@ -488,6 +539,22 @@ def brute_cr1_cr2(c, declared, rules):
     return exact, sound
 
 
+def check_against_brute_force(c, declared, rules):
+    """cr1 and cr2 agree with ``brute_cr1_cr2``; a failing sampled order comes with either failing."""
+    report = verify_rules(rules, c, declared)
+    assert (report.cr1.passed, report.cr2.passed) == brute_cr1_cr2(c, declared, rules)
+    layout = _Layout(declared)
+    consistent = [
+        assignment
+        for assignment, _, _ in _candidate_assignments(layout, len(c.scope))
+        if supporting_tuples(c, assignment)
+    ]
+    sampled = _check_confluence(layout.pack(rules), layout, consistent)
+    if not sampled.passed:
+        assert not (report.cr1.passed and report.cr2.passed)
+        assert report.cr3 == sampled
+
+
 @settings(deadline=None, max_examples=80)
 @given(mutated_rule_sets())
 @example(
@@ -503,16 +570,12 @@ def brute_cr1_cr2(c, declared, rules):
 def test_sampled_confluence_fails_only_where_cr1_or_cr2_fails(case):
     """cr3 is decided by the chaotic-iteration theorem once cr1 and cr2 hold,
     so a failing sampled order must come with a cr1 or cr2 failure."""
-    c, declared, rules = case
-    report = verify_rules(rules, c, declared)
-    assert (report.cr1.passed, report.cr2.passed) == brute_cr1_cr2(c, declared, rules)
-    layout = _Layout(declared)
-    consistent = [
-        assignment
-        for assignment, _, _ in _candidate_assignments(layout, len(c.scope))
-        if supporting_tuples(c, assignment)
-    ]
-    sampled = _check_confluence(layout.pack(rules), layout, consistent, 10, 0)
-    if not sampled.passed:
-        assert not (report.cr1.passed and report.cr2.passed)
-        assert report.cr3 == sampled
+    check_against_brute_force(*case)
+
+
+def test_seeded_damaged_rule_sets_match_the_brute_force_oracle():
+    """The same corpus on every run, whatever Hypothesis draws. The oracle
+    chains from the forbidden full assignments too, which cr1 leaves to
+    the chaining lemma."""
+    for seed in range(300):
+        check_against_brute_force(*damaged_rule_set(random.Random(seed).choice))

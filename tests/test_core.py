@@ -71,6 +71,13 @@ def test_add_constraint_validates_scope_and_tuples():
     empty = ExtensionalConstraint("C5", "c", ("A", "B"), frozenset())
     with pytest.raises(ValueError):
         net.add_constraint(empty, RuleSet("C5", ()))
+    short = ExtensionalConstraint("C6", "c", ("A", "B"), frozenset({("true",)}))
+    with pytest.raises(ValueError, match="tuple of wrong arity"):
+        net.add_constraint(short, RuleSet("C6", ()))
+    other = ExtensionalConstraint("C7", "c", ("A", "B"), frozenset({("true", "true")}))
+    with pytest.raises(ValueError, match="rule set for 'C1' attached to 'C7'"):
+        net.add_constraint(other, RuleSet("C1", ()))
+    assert set(net.constraints) == {"C1"}
 
 
 def indexes(net):
@@ -127,6 +134,9 @@ def test_rule_indices_must_follow_their_positions():
     assert len(net.agenda) == 0
     net.add_constraint(n1, RuleSet("N1", rules))
     assert net.rules["N1"] == rules
+    assert net.rule("N1.R1") is rules[0]
+    with pytest.raises(ValueError, match="unknown rule 'N1.R9'"):
+        net.rule("N1.R9")
 
 
 def test_rules_naming_values_outside_the_declared_domain_are_rejected():
@@ -277,6 +287,10 @@ def test_restrict_rejects_foreign_values():
     net = bool_net("A")
     with pytest.raises(ValueError):
         restrict(net, "A", ("maybe",), 1)
+    with pytest.raises(ValueError, match="'maybe' is outside the domain of 'A'"):
+        mask_value(net, "A", "maybe", 1)
+    assert net.domains["A"].mask == {} and net.domain("A").visible() == BOOL_DOMAIN
+    assert net.events == [] and net.empty_order == []
 
 
 def test_observation_pin_masks_even_masked_values():

@@ -161,6 +161,20 @@ def test_text_rendering_covers_every_event_kind():
         assert fragment in text
 
 
+def test_text_reports_an_empty_bound_and_a_table_without_rules():
+    """Two independent faults need two relaxations; a table allowing
+    every tuple compiles to no rule."""
+    spec = parse_network(
+        "var A bool\nvar B bool\nvar C bool\nvar D bool\n"
+        "gate N1 not A -> B\ngate N2 not C -> D\n"
+        "table U ( A C ) : (false, false) (false, true) (true, false) (true, true)\n"
+        "obs M1 A = true\nobs M2 B = true\nobs M3 C = true\nobs M4 D = true\n"
+    )
+    text = run_script(spec, parse_script("diagnose max=1\ndump rules U\n", spec)).to_text()
+    assert "diagnose max=1:\n  none within bound\n" in text
+    assert "rules of U:\n  (none)\n" in text
+
+
 def test_include_observations_merges_ids_into_constraints():
     report = run("assert M2 C = false\nconflicts\n", include_observations=True)
     conflicts_event = next(e for e in report.events if e["op"] == "conflicts")

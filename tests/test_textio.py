@@ -82,6 +82,7 @@ def test_table_norelax_round_trips():
         ),
         ("var A bool\ntable T1 ( ) : (true)", 2, "empty scope"),
         ("var A bool\ntable T1 ( A A ) : (true)", 2, "repeats variable"),
+        ("var A bool\ntable T1 ( A Q ) : (true, true)", 2, "undeclared variable 'Q'"),
         ("var A bool\ntable T1 ( A ) : (yes)", 2, "outside the domain"),
         ("var A bool\ntable T1 ( A ) :", 2, "allows no tuples"),
         (
@@ -108,9 +109,13 @@ def test_network_errors_carry_their_line(text, line, fragment):
 
 
 def test_parse_error_records_the_column():
-    with pytest.raises(ParseError) as exc:
-        parse_network("var A bool\nvar A bool")
-    assert exc.value.column == 5
+    for text, column in (
+        ("var A bool\nvar A bool", 5),
+        ("var A bool\ntable T1 ( A Q ) : (true, true)", 14),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_network(text)
+        assert exc.value.column == column
 
 
 SCRIPT = """\

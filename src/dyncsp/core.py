@@ -2,8 +2,10 @@
 
 A network owns variables with immutable declared domains, extensional
 constraints with their compiled propagation rules, observations, and a
-firing trace that keeps one record per rule application, shared with
-its ``fire`` event. Runtime narrowing never deletes a value: it masks
+firing trace that keeps one record per rule application, which is also
+its ``fire`` event. Inside the network a rule is its key, the pair
+(constraint id, 1-based rule index), read in the packed form of its
+constraint's template. Runtime narrowing never deletes a value: it masks
 the value under one or more justifications (firing ids or observation
 ids), so every removal is reversible and attributable. Every mutation
 appends to an event log; replaying the log against a fresh structural
@@ -36,6 +38,9 @@ FiringId = int
 
 # A justification is either a firing id (int) or an observation id (str).
 Cause = int | str
+
+# A rule is its key inside a network: (constraint id, 1-based rule index).
+RuleKey = tuple[ConstraintId, int]
 
 BOOL_DOMAIN: tuple[Value, Value] = ("false", "true")
 
@@ -73,6 +78,10 @@ class FiniteDomain:
 
     def __post_init__(self) -> None:
         self.visible_bits = sum(1 << i for i, v in enumerate(self.declared) if v not in self.mask)
+
+    def value(self, bit: int) -> Value:
+        """The declared value whose bit is ``bit``."""
+        return self.declared[bit.bit_length() - 1]
 
     def bit(self, value: Value) -> int:
         """The bit of a declared ``value``; 0 for any other value."""
@@ -155,7 +164,8 @@ class RuleTemplate:
     order, and per concluded position the bits its conclusions exclude.
     ``conditioned[p][b]`` and ``excluding[p][b]`` list the indices of the
     rules that test bit b at position p and whose conclusions exclude it
-    there; ``unconditional`` those that test nothing.
+    there; ``unconditional`` those that test nothing. Rule i of ``owner``
+    must be named ``"{owner}.R{i}"``, so ids are unique by construction.
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
@@ -180,15 +190,13 @@ class RuleTemplate:
         self.unconditional = [rule.index for rule in rules if not rule.conditions]
         position = {var: p for p, var in enumerate(scope)}
         bits = [{value: 1 << i for i, value in enumerate(declared)} for declared in domains]
-        seen: set[RuleId] = set()
         for index, rule in enumerate(rules, start=1):
-            if rule.id in seen:
-                raise ValueError(f"rule id {rule.id!r} already registered")
             if rule.index != index:
                 raise ValueError(f"rule {rule.id!r} has index {rule.index}, not {index}")
             if rule.owner != cid:
                 raise ValueError(f"rule {rule.id!r} of {rule.owner!r} attached to {cid!r}")
-            seen.add(rule.id)
+            if rule.id != f"{cid}.R{index}":
+                raise ValueError(f"rule {rule.id!r} is not named '{cid}.R{index}'")
             for var, value in (*rule.conditions, *((v, x) for v, xs in rule.conclusions for x in xs)):
                 if var not in position:
                     raise ValueError(f"rule {rule.id!r} uses {var!r}, outside the scope of {cid!r}")
@@ -242,21 +250,23 @@ class Observation:
     active: bool = True
 
 
-@dataclass(frozen=True)
-class Firing:
-    """The trace record of one rule application, shared with its ``fire`` event.
+class Firing(NamedTuple):
+    """The trace record of one rule application, which is also its ``fire`` event.
 
-    ``supports`` snapshots, per condition literal, the justifications that
-    held the instantiation at firing time, as ``(variable, value, causes)``
-    with the causes sorted by :func:`cause_key`. ``effects`` lists every
-    (variable, value) exclusion this firing justifies, including values
-    that were already hidden by another cause when it fired; cancelling
-    the firing releases them all. The firing is active iff
-    ``network.active_firing[rule]`` is its id.
+    As an event it reads ``("fire", id, rule, supports, effects)``, so
+    ``network.events`` holds the firing itself and no copy. ``rule`` is
+    the key of the rule that fired. ``supports`` snapshots, per condition
+    literal, the justifications that held the instantiation at firing
+    time, as ``(variable, value, causes)`` with the causes sorted by
+    :func:`cause_key`. ``effects`` lists every (variable, value) exclusion
+    this firing justifies, including values that were already hidden by
+    another cause when it fired; cancelling the firing releases them all.
+    The firing is active iff ``network.active_firing[rule]`` is its id.
     """
 
+    kind: str  # always "fire"
     id: FiringId
-    rule: RuleId
+    rule: RuleKey
     supports: tuple[tuple[VariableId, Value, tuple[Cause, ...]], ...]
     effects: tuple[tuple[VariableId, Value], ...]
 
@@ -266,9 +276,6 @@ class ChangeRecord:
     """The firings one cancellation withdrew, in cancellation order."""
 
     cancelled: list[FiringId] = field(default_factory=list)
-
-
-AgendaEntry = tuple[ConstraintId, int]  # (constraint id, 1-based rule index)
 
 
 class Agenda:
@@ -287,8 +294,8 @@ class Agenda:
     """
 
     def __init__(self) -> None:
-        self.heap: list[AgendaEntry] = []
-        self.queued: set[AgendaEntry] = set()
+        self.heap: list[RuleKey] = []
+        self.queued: set[RuleKey] = set()
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -305,7 +312,7 @@ class Agenda:
                 queued.add(entry)
                 heapq.heappush(heap, entry)
 
-    def pop(self, rng=None) -> AgendaEntry:
+    def pop(self, rng=None) -> RuleKey:
         heap = self.heap
         if rng is None:
             entry = heapq.heappop(heap)
@@ -339,10 +346,11 @@ class Network:
     holds every rule that is applicable right now, and a rule enters it
     only when all its conditions hold (:meth:`push_holding`).
 
-    ``firings`` keeps every firing, cancelled or not, and
-    ``active_firing`` maps a rule to its one active firing; the watch
-    lists and ``active_firing`` together say which active firings test a
-    variable. ``events`` is the trail: every change to masks, firings,
+    ``rules`` maps a constraint to its bound rules, which only rule dumps
+    and verification read. ``firings`` keeps every firing, cancelled or
+    not, and ``active_firing`` maps a rule's key to its one active
+    firing; the watch lists and ``active_firing`` together say which
+    active firings test a variable. ``events`` is the trail: every change to masks, firings,
     observations and constraint flags appends one event, and
     :meth:`rollback` undoes them.
     """
@@ -351,14 +359,13 @@ class Network:
         self.domains: dict[VariableId, FiniteDomain] = {}
         self.constraints: dict[ConstraintId, ExtensionalConstraint] = {}
         self.rules: dict[ConstraintId, tuple[PropagationRule, ...]] = {}
-        self.rule_index: dict[RuleId, PropagationRule] = {}
         self.templates: dict[ConstraintId, RuleTemplate] = {}
         self.scope_domains: dict[ConstraintId, tuple[FiniteDomain, ...]] = {}
         self.occurrences: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
         self.agenda = Agenda()
         self.observations: dict[ObservationId, Observation] = {}
         self.firings: dict[FiringId, Firing] = {}
-        self.active_firing: dict[RuleId, FiringId] = {}
+        self.active_firing: dict[RuleKey, FiringId] = {}
         self.empty_order: list[VariableId] = []
         self.events: list[tuple] = []
         self.next_firing_id: FiringId = 1
@@ -397,24 +404,16 @@ class Network:
         if isinstance(rules, RuleSet):
             if rules.owner != cid:
                 raise ValueError(f"rule set for {rules.owner!r} attached to {cid!r}")
-            rules = RuleTemplate(constraint, domains, self._unregistered(rules.rules))
+            rules = RuleTemplate(constraint, domains, rules.rules)
         elif rules.domains != domains or rules.allowed != constraint.allowed:
             raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
-        bound = self._unregistered(rules.bind(cid, scope))
         self.constraints[cid] = constraint
-        self.rules[cid] = bound
+        self.rules[cid] = rules.bind(cid, scope)
         self.templates[cid] = rules
         self.scope_domains[cid] = scope_domains
-        self.rule_index.update((rule.id, rule) for rule in bound)
         for position, var in enumerate(scope):
             self.occurrences.setdefault(var, []).append((cid, position))
         self.queue_rules(cid)
-
-    def _unregistered(self, rules: tuple[PropagationRule, ...]) -> tuple[PropagationRule, ...]:
-        for rule in rules:
-            if rule.id in self.rule_index:
-                raise ValueError(f"rule id {rule.id!r} already registered")
-        return rules
 
     def domain(self, variable: VariableId) -> FiniteDomain:
         dom = self.domains.get(variable)
@@ -427,12 +426,6 @@ class Network:
         if constraint is None:
             raise ValueError(f"unknown constraint {constraint_id!r}")
         return constraint
-
-    def rule(self, rule_id: RuleId) -> PropagationRule:
-        rule = self.rule_index.get(rule_id)
-        if rule is None:
-            raise ValueError(f"unknown rule {rule_id!r}")
-        return rule
 
     def queue_rules(self, constraint_id: ConstraintId) -> None:
         """Queue the rules of one constraint whose conditions all hold now.
@@ -547,10 +540,10 @@ def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
         network.push_holding(cid, network.templates[cid].conditioned[position].get(bit, ()))
 
 
-def restrict(
-    network: Network, variable: VariableId, allowed: Iterable[Value], cause: Cause
+def exclude(
+    network: Network, dom: FiniteDomain, bits: int, cause: Cause
 ) -> tuple[list[tuple[VariableId, Value]], list[tuple[VariableId, Value]]]:
-    """Hide every value of ``variable`` outside ``allowed`` under ``cause``.
+    """Hide every value of ``dom`` whose bit is in ``bits`` under ``cause``.
 
     Returns the pairs it hid and the pairs it claimed: an excluded value
     that another cause already hides gets ``cause`` as well, so the
@@ -558,16 +551,11 @@ def restrict(
     domain left empty is recorded in ``network.empty_order`` (a signal for
     the caller, never an exception).
     """
-    dom = network.domain(variable)
-    keep = frozenset(allowed)
-    for value in keep:
-        if value not in dom.declared:
-            raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
     hidden, claimed = [], []
-    for value in dom.declared:
-        if value not in keep:
-            newly = mask_value(network, variable, value, cause)
-            (hidden if newly else claimed).append((variable, value))
+    for i, value in enumerate(dom.declared):
+        if bits >> i & 1:
+            newly = mask_value(network, dom.variable, value, cause)
+            (hidden if newly else claimed).append((dom.variable, value))
     return hidden, claimed
 
 

@@ -47,12 +47,11 @@ def _unfounded_firings(network: Network, variable: VariableId, value: Value) -> 
     bit = dom.bit(value)
     unfounded = []
     for cid, position in network.occurrences.get(variable, ()):
-        rules = network.rules[cid]
         for tested, indices in network.templates[cid].conditioned[position].items():
             if tested == bit:
                 continue
             for i in indices:
-                fid = network.active_firing.get(rules[i - 1].id)
+                fid = network.active_firing.get((cid, i))
                 if fid is not None and fid <= oldest:
                     unfounded.append(fid)
     return sorted(unfounded)
@@ -109,8 +108,8 @@ def set_active(network: Network, constraint_id: ConstraintId, active: bool) -> N
     if active:
         network.queue_rules(constraint_id)
         return
-    for rule in network.rules[constraint_id]:
-        fid = network.active_firing.get(rule.id)
+    for index in range(1, len(network.templates[constraint_id].packed) + 1):
+        fid = network.active_firing.get((constraint_id, index))
         if fid is not None:
             cancel_firing(network, fid)
 

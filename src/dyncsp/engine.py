@@ -5,7 +5,9 @@ justifications held its conditions and which masks it created, so any
 narrowing can later be undone or explained. Propagation stops at the
 first variable that loses its last value and reports the conflict as the
 set of constraints and observations reachable through the justification
-graph of that variable.
+graph of that variable. A rule is named by its key (constraint id, rule
+index) and read in the packed form of its constraint's template; the
+engine never reads a bound rule object.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    AgendaEntry,
     Cause,
     ConstraintId,
     FiniteDomain,
@@ -22,11 +23,11 @@ from .core import (
     Network,
     Observation,
     ObservationId,
-    PropagationRule,
+    RuleKey,
     VariableId,
     cause_key,
     conditions_hold,
-    restrict,
+    exclude,
 )
 
 FIXPOINT = "fixpoint"
@@ -58,63 +59,71 @@ def _would_shrink(doms: tuple[FiniteDomain, ...], exclusions) -> bool:
     return False
 
 
-def _packed(network: Network, rule: PropagationRule):
+def _packed(network: Network, rule: RuleKey):
     """The scope domains of ``rule``'s constraint and the rule's packed form.
 
-    Raises ``ValueError`` for a rule that is not the one the network
-    registered under its id: its packed form would be another rule's.
+    Raises ``ValueError`` for a key that names no rule of the network.
     """
-    if network.rule_index.get(rule.id) is not rule:
-        raise ValueError(f"rule {rule.id!r} is not registered in this network")
-    owner = rule.owner
-    return network.scope_domains[owner], network.templates[owner].packed[rule.index - 1]
+    cid, index = rule
+    template = network.templates.get(cid)
+    if template is None or not 1 <= index <= len(template.packed):
+        raise ValueError(f"unknown rule '{cid}.R{index}'")
+    return network.scope_domains[cid], template.packed[index - 1]
 
 
-def rule_applicable(network: Network, rule: PropagationRule) -> bool:
-    """True iff firing the rule right now would be legal and useful."""
+def rule_applicable(network: Network, rule: RuleKey) -> bool:
+    """True iff firing the rule keyed ``rule`` right now would be legal and useful."""
     doms, (conditions, exclusions) = _packed(network, rule)
-    if not network.constraints[rule.owner].active:
+    if not network.constraints[rule[0]].active:
         return False
-    if rule.id in network.active_firing:
+    if rule in network.active_firing:
         return False
     return conditions_hold(doms, conditions) and _would_shrink(doms, exclusions)
 
 
-def fire_rule(network: Network, rule: PropagationRule) -> FiringId | None:
-    """Apply one rule, recording the firing and its justifications.
+def fire_rule(network: Network, rule: RuleKey) -> FiringId | None:
+    """Apply the rule keyed ``rule``, recording the firing and its justifications.
 
     Returns the new firing id. A call whose conclusions would not remove
     anything visible is a no-op: it returns ``None`` and leaves no trace.
     A firing that does shrink something claims a justification on every
     value its conclusions exclude, even values another cause already
     hides, so its exclusions stay in force if that other cause is later
-    released. The ``fire`` event shares the firing's supports and effects.
+    released. Supports and masks come from the template's packed
+    conditions and exclusions over the constraint's scope domains. The
+    firing is its own ``fire`` event and keeps ``rule`` itself as its
+    key, so a firing popped from the agenda makes no new key.
     """
     doms, (conditions, exclusions) = _packed(network, rule)
-    if rule.id in network.active_firing:
-        raise ValueError(f"rule {rule.id!r} already has an active firing")
-    for (position, bit), (var, value) in zip(conditions, rule.conditions):
-        if doms[position].visible_bits != bit:
-            raise ValueError(f"condition {var}={value} of {rule.id!r} does not hold")
+    cid, index = rule
+    if rule in network.active_firing:
+        raise ValueError(f"rule '{cid}.R{index}' already has an active firing")
+    for position, bit in conditions:
+        dom = doms[position]
+        if dom.visible_bits != bit:
+            raise ValueError(
+                f"condition {dom.variable}={dom.value(bit)} of '{cid}.R{index}' does not hold"
+            )
     if not _would_shrink(doms, exclusions):
         return None
     supports = []
-    for (position, _), (var, value) in zip(conditions, rule.conditions):
+    for position, bit in conditions:
+        dom = doms[position]
         causes: set[Cause] = set()
-        for ctr in doms[position].mask.values():
+        for ctr in dom.mask.values():
             causes.update(ctr)
-        supports.append((var, value, tuple(sorted(causes, key=cause_key))))
+        supports.append((dom.variable, dom.value(bit), tuple(sorted(causes, key=cause_key))))
     fid = network.next_firing_id
     network.next_firing_id += 1
     hidden, claimed = [], []
-    for var, vals in rule.conclusions:
-        newly_hidden, also_claimed = restrict(network, var, vals, fid)
+    for position, bits in exclusions:
+        newly_hidden, also_claimed = exclude(network, doms[position], bits, fid)
         hidden += newly_hidden
         claimed += also_claimed
-    firing = Firing(fid, rule.id, tuple(supports), tuple(hidden + claimed))
+    firing = Firing("fire", fid, rule, tuple(supports), tuple(hidden + claimed))
     network.firings[fid] = firing
-    network.active_firing[rule.id] = fid
-    network.events.append(("fire", fid, rule.id, firing.supports, firing.effects))
+    network.active_firing[rule] = fid
+    network.events.append(firing)
     return fid
 
 
@@ -141,16 +150,14 @@ def extract_conflict(network: Network, variable: VariableId) -> ConflictSet:
         if cause in seen:
             continue
         seen.add(cause)
-        firing = network.firings[cause]
-        rule = network.rule(firing.rule)
-        constraints.add(rule.owner)
-        for lit in rule.conditions:
-            cdom = network.domain(lit.variable)
-            for value in cdom.declared:
-                if value == lit.value:
-                    continue
-                ctr = cdom.mask.get(value)
-                if ctr:
+        cid, index = network.firings[cause].rule
+        constraints.add(cid)
+        doms = network.scope_domains[cid]
+        for position, bit in network.templates[cid].packed[index - 1][0]:
+            cdom = doms[position]
+            held = cdom.value(bit)
+            for value, ctr in cdom.mask.items():
+                if value != held:
                     stack.extend(ctr)
     return ConflictSet(frozenset(constraints), frozenset(observations))
 
@@ -180,16 +187,16 @@ def propagate(network: Network) -> PropagationOutcome:
     agenda = network.agenda
     fired: list[FiringId] = []
     exhausted: set[ConstraintId] = set()
-    held: list[AgendaEntry] = []
+    held: list[RuleKey] = []
     try:
         while agenda:
-            cid, index = agenda.pop(network.rng)
+            rule = agenda.pop(network.rng)
+            cid = rule[0]
             if not network.constraints[cid].active:
                 continue  # restore queues the constraint's rules again
             if cid in exhausted:
-                held.append((cid, index))
+                held.append(rule)
                 continue
-            rule = network.rules[cid][index - 1]
             if not rule_applicable(network, rule):
                 continue
             fired.append(fire_rule(network, rule))
@@ -221,7 +228,8 @@ def assert_observation(network: Network, observation: Observation) -> Propagatio
         raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
     network.observations[oid] = observation
     network.events.append(("observe", oid, variable, value))
-    restrict(network, variable, (value,), oid)
+    dom = network.domains[variable]
+    exclude(network, dom, ~dom.bit(value), oid)  # every other declared value
     standing = network.first_empty()
     if standing is not None:
         return _conflict_outcome(network, standing, [])

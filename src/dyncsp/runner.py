@@ -188,7 +188,7 @@ def _text_lines(event: dict) -> list[str]:
     return [str(event)]
 
 
-def _translate_delta(network: Network, delta: list[tuple]) -> tuple[dict, list[dict]]:
+def _translate_delta(delta: list[tuple]) -> tuple[dict, list[dict]]:
     """Split an event-log slice into an op summary and rule-firing events."""
     summary = {"masks": [], "released": [], "cancelled": []}
     fires: list[dict] = []
@@ -204,13 +204,13 @@ def _translate_delta(network: Network, delta: list[tuple]) -> tuple[dict, list[d
         elif kind == "cancel":
             summary["cancelled"].append(entry[1])
         elif kind == "fire":
-            _, fid, rule_id, supports, effects = entry
+            _, fid, (cid, index), supports, effects = entry
             fires.append(
                 {
                     "op": "fire",
                     "firing": fid,
-                    "rule": rule_id,
-                    "constraint": network.rule(rule_id).owner,
+                    "rule": f"{cid}.R{index}",
+                    "constraint": cid,
                     "supports": [
                         [var, value, list(causes)] for var, value, causes in supports
                     ],
@@ -321,7 +321,7 @@ def _apply(network: Network, command: Command, report: Report, include_observati
     else:
         raise ValueError(f"unknown command {command.op!r}")
     if header is not None:
-        summary, fires = _translate_delta(network, network.events[start:])
+        summary, fires = _translate_delta(network.events[start:])
         if command.op == "assert":
             header["masks"] = summary["masks"]
         elif command.op in ("retract", "relax"):

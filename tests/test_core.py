@@ -22,10 +22,10 @@ from dyncsp.core import (
     PropagationRule,
     RuleSet,
     RuleTemplate,
+    exclude,
     is_instantiated,
     mask_value,
     release,
-    restrict,
 )
 
 
@@ -87,7 +87,6 @@ def indexes(net):
     return (
         dict(net.constraints),
         dict(net.rules),
-        dict(net.rule_index),
         {var: list(entries) for var, entries in net.occurrences.items()},
         {
             cid: (t, deepcopy((t.rules, t.conditioned, t.excluding, t.unconditional)))
@@ -108,15 +107,15 @@ def test_rejected_rule_set_leaves_no_trace():
     before = indexes(net)
     # filed under N1, N2's rules would stop propagating once N1 is relaxed
     misfiled = tuple(replace(rule, owner="N1") for rule in rules)
+    # a repeated or foreign rule sits at an index its own does not match
     for bad, message in (
-        (rules + (net.rules["N1"][0],), "already registered"),
-        (rules + (rules[0],), "already registered"),
+        (rules + (net.rules["N1"][0],), "'N1.R1' has index 1, not 5"),
+        (rules + (rules[0],), "'N2.R1' has index 1, not 5"),
         (misfiled, "of 'N1' attached to 'N2'"),
     ):
         with pytest.raises(ValueError, match=message):
             net.add_constraint(n2, RuleSet("N2", bad))
         assert set(net.constraints) == set(net.rules) == {"N1"}
-        assert set(net.rule_index) == {rule.id for rule in net.rules["N1"]}
         assert indexes(net) == before
     net.add_constraint(n2, RuleSet("N2", rules))
     assert net.rules["N2"] == rules
@@ -129,14 +128,12 @@ def test_rule_indices_must_follow_their_positions():
     shifted = tuple(replace(rule, index=rule.index + 1) for rule in rules)
     with pytest.raises(ValueError, match="has index 2, not 1"):
         net.add_constraint(n1, RuleSet("N1", shifted))
-    assert net.constraints == net.rules == net.rule_index == {}
+    assert net.constraints == net.rules == {}
     assert net.templates == net.occurrences == {}
     assert len(net.agenda) == 0
     net.add_constraint(n1, RuleSet("N1", rules))
     assert net.rules["N1"] == rules
-    assert net.rule("N1.R1") is rules[0]
-    with pytest.raises(ValueError, match="unknown rule 'N1.R9'"):
-        net.rule("N1.R9")
+    assert net.rules["N1"][0] is rules[0]
 
 
 def test_rules_naming_values_outside_the_declared_domain_are_rejected():
@@ -196,16 +193,15 @@ def test_a_template_binds_only_constraints_of_its_shape():
     net.add_constraint(n2, template)
     assert net.rules["N2"] == generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)).rules
     assert net.occurrences["B"] == [("N1", 1), ("N2", 0)]
-    # a rule set may name its rules freely, so a bound id can collide
+    # a rule set names rule i of K "K.R<i>", so no bound id can collide
     k = ExtensionalConstraint("K", "not", ("A", "C"), table)
     named = tuple(
         replace(rule, id=f"N3.R{rule.index}")
         for rule in generate(k, dict.fromkeys("AC", BOOL_DOMAIN)).rules
     )
-    net.add_constraint(k, RuleSet("K", named))
     before = indexes(net)
-    with pytest.raises(ValueError, match="rule id 'N3.R1' already registered"):
-        net.add_constraint(ExtensionalConstraint("N3", "not", ("C", "A"), table), template)
+    with pytest.raises(ValueError, match="rule 'N3.R1' is not named 'K.R1'"):
+        net.add_constraint(k, RuleSet("K", named))
     assert indexes(net) == before
 
 
@@ -259,10 +255,10 @@ def test_empty_order_tracks_first_emptied_variable():
     assert ("conflict", "A") in net.events
 
 
-def test_restrict_masks_only_visible_values():
+def test_exclude_masks_only_visible_values():
     net = bool_net("A")
     mask_value(net, "A", "true", "M1")
-    hidden, claimed = restrict(net, "A", ("true",), 7)
+    hidden, claimed = exclude(net, net.domains["A"], 0b01, 7)
     assert hidden == [("A", "false")]
     assert claimed == []
     assert net.empty_order == ["A"]
@@ -271,10 +267,10 @@ def test_restrict_masks_only_visible_values():
     assert net.domains["A"].mask["false"] == Counter({7: 1})
 
 
-def test_restrict_can_claim_already_masked_values():
+def test_exclude_can_claim_already_masked_values():
     net = bool_net("A")
     mask_value(net, "A", "true", "M1")
-    hidden, claimed = restrict(net, "A", (), 7)
+    hidden, claimed = exclude(net, net.domains["A"], 0b11, 7)
     assert hidden == [("A", "false")]
     assert claimed == [("A", "true")]
     assert net.domains["A"].mask["true"] == Counter({"M1": 1, 7: 1})
@@ -283,12 +279,15 @@ def test_restrict_can_claim_already_masked_values():
     assert not net.domains["A"].is_visible("true")
 
 
-def test_restrict_rejects_foreign_values():
+def test_mask_value_rejects_foreign_values():
+    """``exclude`` names values by their bits, so it cannot name a foreign
+    one; the pin checks its value before it excludes the others."""
     net = bool_net("A")
-    with pytest.raises(ValueError):
-        restrict(net, "A", ("maybe",), 1)
     with pytest.raises(ValueError, match="'maybe' is outside the domain of 'A'"):
         mask_value(net, "A", "maybe", 1)
+    with pytest.raises(ValueError, match="'maybe' is outside the domain of 'A'"):
+        assert_observation(net, Observation("M1", "A", "maybe"))
+    assert net.observations == {}
     assert net.domains["A"].mask == {} and net.domain("A").visible() == BOOL_DOMAIN
     assert net.events == [] and net.empty_order == []
 
@@ -296,7 +295,7 @@ def test_restrict_rejects_foreign_values():
 def test_observation_pin_masks_even_masked_values():
     net = bool_net("A")
     mask_value(net, "A", "false", 9)
-    hidden, claimed = restrict(net, "A", ("true",), "M1")
+    hidden, claimed = exclude(net, net.domains["A"], ~net.domains["A"].bit("true"), "M1")
     assert hidden == []
     assert claimed == [("A", "false")]
     assert net.domains["A"].mask["false"] == Counter({9: 1, "M1": 1})

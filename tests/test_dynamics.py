@@ -13,6 +13,7 @@ from dyncsp import (
     assert_observation,
     build_network,
     diagnose,
+    extract_conflict,
     gate_table,
     generate,
     propagate,
@@ -97,14 +98,14 @@ def test_cancel_cascades_through_dependent_firings():
 def test_cancel_spares_watchers_still_supported_by_an_observation():
     net = gate_net(("N1", "not", "X", "B"), ("N2", "not", "B", "C"))
     assert_observation(net, Observation("M1", "X", "false"))
-    b_firing = net.active_firing["N1.R1"]
+    b_firing = net.active_firing["N1", 1]
     assert_observation(net, Observation("M2", "B", "true"))
-    c_firing = net.active_firing["N2.R2"]
+    c_firing = net.active_firing["N2", 2]
     assert net.domains["B"].mask["false"]["M2"] == 1
     record = cancel_firing(net, b_firing)
     # B stays instantiated through M2, so the downstream firing survives
     assert record.cancelled == [b_firing]
-    assert net.active_firing["N2.R2"] == c_firing
+    assert net.active_firing["N2", 2] == c_firing
     assert net.domains["B"].visible() == ("true",)
     assert net.domains["C"].visible() == ("false",)
 
@@ -133,12 +134,12 @@ def test_relax_releases_and_repropagates_parallel_support():
     assert_observation(net, Observation("M1", "X", "true"))
     assert_observation(net, Observation("M2", "Y", "true"))
     # N2 only fired backward (C=false forced Y=true); its forward rule was subsumed
-    assert net.active_firing.keys() == {"N1.R2", "N2.R3"}
+    assert net.active_firing.keys() == {("N1", 2), ("N2", 3)}
     out = relax(net, "N1")
     assert out.status == "fixpoint"
-    assert [net.firings[f].rule for f in out.fired] == ["N2.R2"]
+    assert [net.firings[f].rule for f in out.fired] == [("N2", 2)]
     assert net.domains["C"].visible() == ("false",)
-    assert net.active_firing.keys() == {"N2.R2"}
+    assert net.active_firing.keys() == {("N2", 2)}
 
 
 def test_cancel_spares_exclusions_claimed_by_a_later_firing():
@@ -146,14 +147,14 @@ def test_cancel_spares_exclusions_claimed_by_a_later_firing():
     assert_observation(net, Observation("M1", "A", "true"))
     assert_observation(net, Observation("M2", "V4", "false"))
     # G1.R3 concludes on V1 and V3; V3=true was already hidden by N1's firing
-    assert net.firings[2].rule == "G1.R3"
+    assert net.firings[2].rule == ("G1", 3)
     assert net.firings[2].effects == (("V1", "true"), ("V3", "true"))
     assert net.domains["V3"].mask["true"] == Counter({1: 1, 2: 1})
     relax(net, "N1")
     # the claim keeps V3 pruned after its first justification is withdrawn
     assert net.domains["V3"].visible() == ("false",)
     assert net.domains["V3"].mask["true"] == Counter({2: 1})
-    assert net.active_firing == {"G1.R3": 2}
+    assert net.active_firing == {("G1", 3): 2}
 
 
 def test_claims_survive_a_relax_restore_retract_cascade():
@@ -281,7 +282,7 @@ def test_retract_clears_a_standing_conflict():
     assert out.status == "fixpoint"
     assert net.first_empty() is None
     assert net.domains["A"].visible() == ("false",)
-    assert [net.firings[f].rule for f in out.fired] == ["N1.R4"]
+    assert [net.firings[f].rule for f in out.fired] == [("N1", 4)]
 
 
 def test_deep_cancellation_avoids_recursion_limits():
@@ -357,8 +358,8 @@ def test_dynamic_sequences_match_a_scratch_rebuild(seed):
 def assert_active_firings_are_founded(net):
     """Every value an active firing's condition excludes is hidden by an
     observation or by an older firing (read from the masks alone)."""
-    for rule_id, fid in net.active_firing.items():
-        for var, value in net.rule(rule_id).conditions:
+    for (cid, index), fid in net.active_firing.items():
+        for var, value in net.rules[cid][index - 1].conditions:
             dom = net.domains[var]
             for other in dom.declared:
                 if other != value:
@@ -471,7 +472,7 @@ def assert_agenda_covers_applicable_rules(net):
     for cid, constraint in net.constraints.items():
         if constraint.active:
             for rule in net.rules[cid]:
-                if rule_applicable(net, rule):
+                if rule_applicable(net, (cid, rule.index)):
                     assert (cid, rule.index) in net.agenda.queued, rule.id
 
 
@@ -515,6 +516,42 @@ def test_shared_templates_and_per_constraint_rule_sets_run_alike():
             assert single.events == shared.events, (seed, step)
             assert single.visible_state() == shared.visible_state(), (seed, step)
         assert diagnose(single, 2) == diagnose(shared, 2), seed
+
+
+class Unreadable:
+    """Stands in for ``network.rules``: any read of it fails."""
+
+    def _read(self, *args):
+        raise AssertionError("network.rules was read")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = __bool__ = __eq__ = _read
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"network.rules.{name} was read")
+
+
+def test_the_engine_never_reads_bound_rules():
+    """Propagation, cancellation, conflict extraction and diagnosis work on
+    rule keys and packed templates alone: on a network whose bound rules
+    cannot be read they log the same events, extract the same conflicts
+    and find the same diagnoses as on an untouched twin."""
+    specs = [(seed, random_network(seed)) for seed in range(60)]
+    specs += [(seed, random_table_network(seed)) for seed in range(20)]
+    conflicts = 0
+    for seed, spec in specs:
+        net, twin = (build_network(spec, assert_observations=False) for _ in range(2))
+        net.rules = Unreadable()
+        for step in random_sequence(seed ^ 0xB0B, spec, length=20):
+            run_op(net, step)
+            run_op(twin, step)
+            assert net.events == twin.events, (seed, step)
+            empty = net.first_empty()
+            if empty is not None:
+                conflicts += 1
+                assert extract_conflict(net, empty) == extract_conflict(twin, empty), (seed, step)
+        assert diagnose(net, 2) == diagnose(twin, 2), seed
+        assert net.events == twin.events, seed
+    assert conflicts > 0
 
 
 def test_release_that_instantiates_an_emptied_domain_queues_its_rules():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,46 +57,39 @@ def test_fire_rule_records_supports_and_effects():
     net = circuit0_net()
     assert_observation(net, Observation("M1", "S1", "false"))
     firing = net.firings[1]
-    rule = net.rule(firing.rule)
-    assert rule.id == "O3.R3"
+    assert firing.rule == ("O3", 3)
     assert firing.effects == (("Z", "true"), ("E4", "true"))
     assert firing.supports == (("S1", "false", ("M1",)),)
-    assert net.active_firing["O3.R3"] == 1
-    assert net.events[-1] == ("fire", 1, "O3.R3", firing.supports, firing.effects)
-    assert net.events[-1][3] is firing.supports and net.events[-1][4] is firing.effects
+    assert net.active_firing["O3", 3] == 1
+    assert net.events[-1] == ("fire", 1, ("O3", 3), firing.supports, firing.effects)
+    assert net.events[-1] is firing
 
 
 def test_fire_rule_rejects_unmet_conditions_and_double_firing():
     net = circuit0_net()
-    rule = net.rule("O3.R3")
-    with pytest.raises(ValueError):
+    rule = ("O3", 3)
+    with pytest.raises(ValueError, match="condition S1=false of 'O3.R3' does not hold"):
         fire_rule(net, rule)
     assert_observation(net, Observation("M1", "S1", "false"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'O3.R3' already has an active firing"):
         fire_rule(net, rule)
 
 
 def test_rules_the_network_did_not_register_are_rejected():
-    """A rule is checked and fired through the packed form registered under
-    its id, so a rule that is not the registered one must not reach it."""
+    """A rule is its (constraint, index) key, and a key that names no rule
+    of the network must not reach a packed form: index 0 would silently
+    read the constraint's last rule."""
     net = circuit0_net()
-    other = circuit0_net()
     mask_value(net, "S1", "true", "M1")  # pins S1 to false, not yet propagated
-    registered = net.rule("O3.R3")
-    assert rule_applicable(net, registered)
-    foreign = (
-        other.rule("O3.R3"),  # equal, but registered in another network
-        replace(registered, conclusions=(("E4", ("true",)),)),
-        replace(registered, id="O3.R9"),
-    )
+    assert rule_applicable(net, ("O3", 3))
+    last = len(net.rules["O3"])
     events = len(net.events)
-    for rule in foreign:
-        with pytest.raises(ValueError, match=f"rule {rule.id!r} is not registered"):
-            fire_rule(net, rule)
-        with pytest.raises(ValueError, match=f"rule {rule.id!r} is not registered"):
-            rule_applicable(net, rule)
-    assert len(net.events) == events and "O3.R3" not in net.active_firing
-    assert fire_rule(net, registered) is not None
+    for cid, index in (("O9", 1), ("O3", 0), ("O3", last + 1)):
+        for call in (fire_rule, rule_applicable):
+            with pytest.raises(ValueError, match=f"unknown rule '{cid}.R{index}'"):
+                call(net, (cid, index))
+    assert len(net.events) == events and net.active_firing == {}
+    assert fire_rule(net, ("O3", 3)) is not None
 
 
 def test_fire_rule_without_shrink_leaves_no_trace():
@@ -106,15 +97,15 @@ def test_fire_rule_without_shrink_leaves_no_trace():
     assert_observation(net, Observation("M1", "X", "true"))
     assert_observation(net, Observation("M2", "Y", "true"))
     # N1 already emptied C of "true"; the parallel N2 rule has nothing left
-    rule = net.rule("N2.R2")
-    (lit,) = rule.conditions
+    rule = ("N2", 2)
+    (lit,) = net.rules["N2"][1].conditions
     assert is_instantiated(net, lit.variable, lit.value)
     assert not rule_applicable(net, rule)
     events = len(net.events)
     record = fire_rule(net, rule)
     assert not record
     assert len(net.events) == events
-    assert "N2.R2" not in net.active_firing
+    assert rule not in net.active_firing
 
 
 def test_propagation_is_deterministic_and_ordered():
@@ -128,7 +119,7 @@ def test_propagation_is_deterministic_and_ordered():
     ):
         outs.append(assert_observation(net, Observation(oid, var, value)))
     fired_rules = [[net.firings[f].rule for f in out.fired] for out in outs]
-    assert fired_rules == [[], ["O1.R4", "A1.R1"], ["O2.R4"], ["O3.R3"]]
+    assert fired_rules == [[], [("O1", 4), ("A1", 1)], [("O2", 4)], [("O3", 3)]]
     assert all(out.status == "fixpoint" for out in outs)
 
 
@@ -310,7 +301,7 @@ def test_short_circuit_keeps_held_back_rules_queued_for_the_next_pass():
     assert_observation(net, Observation("M1", "X", "true"))
     assert any(cid == "CB" for cid, _ in net.agenda.queued)
     out = propagate(net)
-    assert [net.rule(net.firings[fid].rule).owner for fid in out.fired] == ["CB"]
+    assert [net.firings[fid].rule[0] for fid in out.fired] == ["CB"]
     assert net.domains["R"].visible() == ("false",)
     # CB fired again, so its other rules are held back once more
     assert propagate(net).fired == []

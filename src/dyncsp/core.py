@@ -19,12 +19,15 @@ Every mutation that can make a rule applicable queues it once its
 conditions hold: a mask or release that leaves a condition variable
 instantiated, the release of a value that a rule's conclusion excludes,
 a new or restored constraint. Propagation drains the agenda instead of
-rescanning every rule.
+rescanning every rule. The walk in which a release queues rules also
+finds the active firings it leaves unfounded, which the release
+returns for ``dyncsp.dynamics.cancel_firing`` to withdraw.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -514,23 +517,50 @@ def mask_value(network: Network, variable: VariableId, value: Value, cause: Caus
     return newly
 
 
-def release(network: Network, variable: VariableId, value: Value, cause: Cause) -> bool:
-    """Remove one justification added by ``cause``; True if the value became visible."""
+def release(network: Network, variable: VariableId, value: Value, cause: Cause) -> list[FiringId]:
+    """Remove one justification added by ``cause``; return the firings it leaves unfounded.
+
+    A firing relies on every value its condition on ``variable`` excludes,
+    and stays founded while each such value is hidden by an observation
+    or by a firing older than itself. Firing ids grow, so while every
+    active firing is founded, every mask rests on observations: firings
+    that only hide each other's values form a cycle of self-support, and
+    its oldest member is unfounded. A release checks this in the walk
+    over the variable's occurrences that queues rules: if the value
+    became visible, the walk queues the rules whose conclusions exclude
+    it, and unless an observation still hides it, the walk collects the
+    active firings of the rules that the template's ``conditioned``
+    lists test on the variable's other values and that are no younger
+    than the value's oldest remaining cause. The caller cancels them;
+    rollback hides and unhides directly, so undo never cascades.
+    """
     dom = network.domain(variable)
     ctr = dom.mask.get(value)
     if ctr is None or ctr[cause] <= 0:
         raise ValueError(f"no mask on {variable}={value} is justified by {cause!r}")
     network.events.append(("release", variable, value, cause))
-    if not dom.unhide(value, cause):
-        return False
-    if dom.visible_count() == 1:
+    shown = dom.unhide(value, cause)
+    causes = dom.mask.get(value, ())
+    if any(isinstance(c, str) for c in causes):
+        return []
+    oldest = min(causes, default=math.inf)
+    if shown and dom.visible_count() == 1:
         if variable in network.empty_order:
             network.empty_order.remove(variable)
         _queue_instantiated(network, dom)
     bit = dom.bit(value)
+    unfounded = []
     for cid, position in network.occurrences.get(variable, ()):
-        network.push_holding(cid, network.templates[cid].excluding[position].get(bit, ()))
-    return True
+        template = network.templates[cid]
+        if shown:
+            network.push_holding(cid, template.excluding[position].get(bit, ()))
+        for tested, indices in template.conditioned[position].items():
+            if tested != bit:
+                for i in indices:
+                    fid = network.active_firing.get((cid, i))
+                    if fid is not None and fid <= oldest:
+                        unfounded.append(fid)
+    return sorted(unfounded)
 
 
 def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:

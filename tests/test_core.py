@@ -227,10 +227,32 @@ def test_mask_is_counted_per_justification():
     assert mask_value(net, "A", "true", "M2") is False
     assert mask_value(net, "A", "true", "M1") is False
     assert net.domains["A"].mask["true"] == Counter({"M1": 2, "M2": 1})
-    assert release(net, "A", "true", "M1") is False
-    assert release(net, "A", "true", "M2") is False
-    assert release(net, "A", "true", "M1") is True
-    assert net.domain("A").visible() == ("false", "true")
+    dom = net.domain("A")
+    release(net, "A", "true", "M1")
+    assert dom.visible() == ("false",)
+    release(net, "A", "true", "M2")
+    assert dom.visible() == ("false",)
+    release(net, "A", "true", "M1")
+    assert dom.visible() == ("false", "true")
+
+
+def test_release_returns_the_firings_it_leaves_unfounded_sorted():
+    """V0 feeds N2 (registered first) and N1, and N1's output feeds N3.
+    N1 fires first, so V0's occurrences meet firing 2 before firing 1.
+    Releasing the pin's mask on V0=false returns both, sorted, and leaves
+    N3's firing, which rests on V1, to the caller's cascade; releasing a
+    value that an observation still hides returns nothing."""
+    net = bool_net("V0", "V1", "V2", "V3")
+    for cid, scope in (("N2", ("V0", "V2")), ("N1", ("V0", "V1")), ("N3", ("V1", "V3"))):
+        c = ExtensionalConstraint(cid, "not", scope, gate_table("not", 1))
+        net.add_constraint(c, generate(c, dict.fromkeys(scope, BOOL_DOMAIN)))
+    assert_observation(net, Observation("M1", "V0", "true"))
+    assert [net.firings[fid].rule[0] for fid in (1, 2, 3)] == ["N1", "N2", "N3"]
+    mask_value(net, "V0", "false", "M2")
+    assert release(net, "V0", "false", "M1") == []
+    assert release(net, "V0", "false", "M2") == [1, 2]
+    assert net.domain("V0").visible() == BOOL_DOMAIN
+    assert sorted(net.active_firing.values()) == [1, 2, 3]
 
 
 def test_release_without_matching_justification_raises():

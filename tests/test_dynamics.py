@@ -1,6 +1,8 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -68,9 +70,16 @@ def visible(net):
 
 
 def test_cancel_firing_rejects_unknown_ids():
-    net = inverter_chain(2)
+    """An unknown id anywhere in the call changes nothing."""
+    net = inverter_chain(3)
     with pytest.raises(ValueError):
         cancel_firing(net, 7)
+    assert_observation(net, Observation("M1", "V0", "true"))
+    events, active = list(net.events), dict(net.active_firing)
+    for ids in ((99, 1), (1, 99), (2, 1, 99, 3)):
+        with pytest.raises(ValueError, match="unknown firing 99"):
+            cancel_firing(net, *ids)
+        assert net.events == events and net.active_firing == active
 
 
 def test_cancel_firing_is_idempotent():
@@ -108,6 +117,64 @@ def test_cancel_spares_watchers_still_supported_by_an_observation():
     assert net.active_firing["N2", 2] == c_firing
     assert net.domains["B"].visible() == ("true",)
     assert net.domains["C"].visible() == ("false",)
+
+
+def test_cancel_firing_takes_several_ids_as_one_call_per_id():
+    """One call with several ids logs what one call per id logs, in order:
+    an id that an earlier id's cascade cancelled, or that repeats, is
+    skipped. Chains pin the order; random networks cover the rest."""
+    net, twin = inverter_chain(4), inverter_chain(4)
+    for n in (net, twin):
+        assert_observation(n, Observation("M1", "V0", "true"))
+    assert cancel_firing(net, 3, 1, 4, 3).cancelled == [3, 4, 1, 2]
+    assert [cancel_firing(twin, fid).cancelled for fid in (3, 1, 4, 3)] == [[3, 4], [1, 2], [], []]
+    assert net.events == twin.events
+    calls = 0
+    for seed in range(60):
+        spec = random_network(seed)
+        net, twin = (build_network(spec, assert_observations=False) for _ in range(2))
+        rng = random.Random(seed)
+        for step in random_sequence(seed ^ 0xCA11, spec):
+            run_op(net, step)
+            run_op(twin, step)
+            ids = list(net.active_firing.values())
+            if len(ids) < 2:
+                continue
+            rng.shuffle(ids)
+            ids.append(ids[0])
+            calls += 1
+            marks = net.snapshot(), twin.snapshot()
+            cancelled = cancel_firing(net, *ids).cancelled
+            assert cancelled == [f for i in ids for f in cancel_firing(twin, i).cancelled], seed
+            assert net.events == twin.events and net.active_firing == twin.active_firing == {}
+            net.rollback(marks[0])
+            twin.rollback(marks[1])
+        assert net.events == twin.events, seed
+    assert calls > 100, calls
+
+
+def test_a_younger_claim_withdrawn_spares_a_firing_between_it_and_the_first_hider():
+    """N1's firing (1) hides B=false, N2's (2) relies on that, and A1's
+    rule "IF Y=true THEN B in {true}; D in {true}" (firing 3) hides
+    D=false and claims B=false. Relaxing A1 leaves B=false hidden by
+    firing 1 alone, which is older than firing 2, so firing 2 stays
+    founded: the relax cancels firing 3 and nothing else. A release that
+    skipped the age test would cancel firing 2 and refire N2."""
+    net = gate_net(("N1", "not", "X", "B"), ("N2", "not", "B", "C"), ("A1", "and", "B", "D", "Y"))
+    assert_observation(net, Observation("M1", "X", "false"))
+    assert_observation(net, Observation("M2", "Y", "true"))
+    assert [net.firings[fid].rule[0] for fid in (1, 2, 3)] == ["N1", "N2", "A1"]
+    assert net.firings[3].effects == (("D", "false"), ("B", "false"))
+    assert net.domains["B"].mask["false"] == Counter({1: 1, 3: 1})
+    n2 = net.firings[2].rule
+    mark = len(net.events)
+    out = relax(net, "A1")
+    assert out.fired == []
+    assert [event for event in net.events[mark:] if event[0] == "cancel"] == [("cancel", 3)]
+    assert net.active_firing == {net.firings[1].rule: 1, n2: 2}
+    assert visible(net) == {
+        "X": ("false",), "B": ("true",), "C": ("false",), "D": BOOL, "Y": ("true",)
+    }
 
 
 def test_relax_validates_its_target():
@@ -353,6 +420,32 @@ def test_dynamic_sequences_match_a_scratch_rebuild(seed):
     assert live_empty == fresh_empty
     if live_empty:
         assert visible(net) == visible(fresh)
+
+
+EVENT_LOG_DIGEST = Path(__file__).parent / "fixtures" / "event_logs.sha256"
+
+
+def event_log_digest():
+    """SHA-256 of ``repr(net.events)`` after a 20-step random sequence on
+    100 random gate networks, in rule order and shuffled, and on 20
+    random table networks."""
+    runs = [(random_network(seed), seed, shuffle) for seed in range(100) for shuffle in (None, 3)]
+    runs += [(random_table_network(seed), seed, None) for seed in range(20)]
+    digest = hashlib.sha256()
+    for spec, seed, shuffle in runs:
+        net = build_network(spec, seed=shuffle, assert_observations=False)
+        for step in random_sequence(seed, spec, length=20):
+            run_op(net, step)
+        digest.update(repr(net.events).encode())
+    return digest.hexdigest()
+
+
+def test_event_logs_match_the_committed_digest():
+    """Whole event logs, every mask, release, firing and cancellation in
+    order, are pinned by one digest. The digest does not depend on the
+    hash seed; it changes only in a change that says why in CHANGES.md,
+    which rewrites the fixture with ``event_log_digest()``."""
+    assert event_log_digest() == EVENT_LOG_DIGEST.read_text().strip()
 
 
 def assert_active_firings_are_founded(net):

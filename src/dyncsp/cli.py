@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compile(args) -> int:
     spec = parse_network(_read(args.network))
     network = build_network(spec, assert_observations=False)
-    total = sum(len(rules) for rules in network.rules.values())
+    total = sum(len(template.rules) for template in network.templates.values())
     print(f"compiled {len(network.constraints)} constraints, {total} rules")
     if args.dump_rules:
         for cid, constraint in network.constraints.items():

@@ -45,6 +45,7 @@ import random
 from dataclasses import dataclass
 
 from .core import (
+    BoundRules,
     ConditionLiteral,
     ExtensionalConstraint,
     PropagationRule,
@@ -212,26 +213,31 @@ def _candidate_assignments(layout: _Layout, max_size: int):
     bits, which indexes the support table, and ``start`` is the state
     that pins it.
     """
-    declared = layout.declared
-    scope = tuple(declared)
-
-    def extend(first, size, assignment, key, pinned):
-        if not size:
-            yield assignment, key, layout.full & ~pinned | key
-            return
-        for p in range(first, len(scope) - size + 1):
-            var = scope[p]
-            for value in declared[var]:
-                yield from extend(
-                    p + 1,
-                    size - 1,
-                    {**assignment, var: value},
-                    key | layout.bits[(var, value)],
-                    pinned | layout.fields[var],
-                )
-
     for size in range(max_size + 1):
-        yield from extend(0, size, {}, 0, 0)
+        yield from _extend(layout, tuple(layout.declared), 0, size, {}, 0, 0)
+
+
+def _extend(layout: _Layout, scope, first, size, assignment, key, pinned):
+    """The candidates that add ``size`` more scope positions from ``first`` on.
+
+    A module function, not a closure that names itself, so a finished
+    walk leaves no reference cycle for the garbage collector.
+    """
+    if not size:
+        yield assignment, key, layout.full & ~pinned | key
+        return
+    for p in range(first, len(scope) - size + 1):
+        var = scope[p]
+        for value in layout.declared[var]:
+            yield from _extend(
+                layout,
+                scope,
+                p + 1,
+                size - 1,
+                {**assignment, var: value},
+                key | layout.bits[(var, value)],
+                pinned | layout.fields[var],
+            )
 
 
 def _prepare(
@@ -370,6 +376,39 @@ def verify_rules(
     declared: DomainMap,
 ) -> VerificationReport:
     """Check a rule set against its constraint; failures carry witnesses.
+
+    Rules that a template bound onto the constraint's scope, where the
+    constraint has the template's allowed tuples and declared domains,
+    are the template's own rules with the scope variables renamed, and
+    renaming changes no criterion. So the template's own rules are
+    checked once, the report is kept on the template, and a passing
+    report stands for every such constraint. A failing one does not: the
+    constraint's own rules are then checked, so the witnesses name its
+    variables.
+    """
+    if isinstance(rules, BoundRules) and _has_shape(rules, constraint, declared):
+        template = rules.template
+        if template.report is None:
+            own = ExtensionalConstraint(template.owner, "", template.scope, template.allowed)
+            template.report = _verify(template.rules, own, dict(zip(template.scope, template.domains)))
+        if template.report.passed:
+            return template.report
+    return _verify(rules, constraint, declared)
+
+
+def _has_shape(rules: BoundRules, constraint: ExtensionalConstraint, declared: DomainMap) -> bool:
+    """Whether ``rules`` were bound over the scope of ``constraint``, of their template's shape."""
+    template, scope = rules.template, constraint.scope
+    return (
+        rules.scope == scope
+        and all(var in declared for var in scope)
+        and tuple(tuple(declared[var]) for var in scope) == template.domains
+        and constraint.allowed == template.allowed
+    )
+
+
+def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> VerificationReport:
+    """The four criteria for ``rules`` against ``constraint``, checked in full.
 
     One closure per consistent start decides cr1 and cr2 against the
     support table. If both hold at every consistent start, no closure

@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -169,6 +170,11 @@ class RuleTemplate:
     rules that test bit b at position p and whose conclusions exclude it
     there; ``unconditional`` those that test nothing. Rule i of ``owner``
     must be named ``"{owner}.R{i}"``, so ids are unique by construction.
+
+    Nothing in the engine reads bound rules; :meth:`bind` makes them only
+    for rule dumps and verification, and ``report`` is where
+    ``verify_rules`` keeps its one check of the template's own rules,
+    which holds for every constraint of the shape.
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
@@ -187,6 +193,7 @@ class RuleTemplate:
                     )
         self.owner, self.scope, self.allowed = cid, scope, constraint.allowed
         self.domains, self.rules = domains, rules
+        self.report = None
         self.packed: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
         self.conditioned: list[dict[int, list[int]]] = [{} for _ in scope]
         self.excluding: list[dict[int, list[int]]] = [{} for _ in scope]
@@ -221,17 +228,19 @@ class RuleTemplate:
                 exclusions.append((p, excluded))
             self.packed.append((conditions, exclusions))
 
-    def bind(self, owner: ConstraintId, scope: tuple[VariableId, ...]) -> tuple[PropagationRule, ...]:
+    def bind(self, owner: ConstraintId, scope: tuple[VariableId, ...]) -> "BoundRules":
         """The rules of ``owner``, a constraint of this shape over ``scope``."""
+        if len(scope) != len(self.scope) or len(set(scope)) != len(scope):
+            raise ValueError(f"scope {scope!r} does not fit the shape of {self.owner!r}")
         if (owner, scope) == (self.owner, self.scope):
-            return self.rules
+            return BoundRules(self.rules, self, scope)
         rename = dict(zip(self.scope, scope))
         literals = {
             (var, v): ConditionLiteral(rename[var], v)
             for var, dom in zip(self.scope, self.domains)
             for v in dom
         }
-        return tuple(
+        rules = (
             PropagationRule(
                 f"{owner}.R{rule.index}",
                 owner,
@@ -241,6 +250,46 @@ class RuleTemplate:
             )
             for rule in self.rules
         )
+        return BoundRules(rules, self, scope)
+
+
+class BoundRules(tuple):
+    """A template's rules bound onto ``scope``: a tuple of rules that
+    remembers its ``template``, so ``verify_rules`` can check the template
+    once for every constraint of its shape."""
+
+    def __new__(cls, rules, template: RuleTemplate, scope: tuple[VariableId, ...]):
+        bound = super().__new__(cls, rules)
+        bound.template, bound.scope = template, scope
+        return bound
+
+
+class LazyRules(Mapping):
+    """``Network.rules``: each constraint's rules, bound from its template on first read.
+
+    It holds the network's ``templates`` and ``constraints`` dicts, not
+    the network, so a network and its rules form no reference cycle.
+    """
+
+    def __init__(self, templates: dict, constraints: dict):
+        self._templates, self._constraints = templates, constraints
+        self._bound: dict[ConstraintId, BoundRules] = {}
+
+    def __getitem__(self, cid: ConstraintId) -> BoundRules:
+        rules = self._bound.get(cid)
+        if rules is None:
+            rules = self._templates[cid].bind(cid, self._constraints[cid].scope)
+            self._bound[cid] = rules
+        return rules
+
+    def __contains__(self, cid) -> bool:
+        return cid in self._templates
+
+    def __iter__(self):
+        return iter(self._templates)
+
+    def __len__(self) -> int:
+        return len(self._templates)
 
 
 @dataclass
@@ -349,8 +398,10 @@ class Network:
     holds every rule that is applicable right now, and a rule enters it
     only when all its conditions hold (:meth:`push_holding`).
 
-    ``rules`` maps a constraint to its bound rules, which only rule dumps
-    and verification read. ``firings`` keeps every firing, cancelled or
+    ``rules`` maps a constraint to its rules, which only rule dumps and
+    verification read: it binds a constraint's template onto its scope on
+    the first read (:class:`LazyRules`), so building a network binds
+    nothing. ``firings`` keeps every firing, cancelled or
     not, and ``active_firing`` maps a rule's key to its one active
     firing; the watch lists and ``active_firing`` together say which
     active firings test a variable. ``events`` is the trail: every change to masks, firings,
@@ -361,8 +412,8 @@ class Network:
     def __init__(self, *, short_circuit: bool = False, rng=None):
         self.domains: dict[VariableId, FiniteDomain] = {}
         self.constraints: dict[ConstraintId, ExtensionalConstraint] = {}
-        self.rules: dict[ConstraintId, tuple[PropagationRule, ...]] = {}
         self.templates: dict[ConstraintId, RuleTemplate] = {}
+        self.rules = LazyRules(self.templates, self.constraints)
         self.scope_domains: dict[ConstraintId, tuple[FiniteDomain, ...]] = {}
         self.occurrences: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
         self.agenda = Agenda()
@@ -411,7 +462,6 @@ class Network:
         elif rules.domains != domains or rules.allowed != constraint.allowed:
             raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
         self.constraints[cid] = constraint
-        self.rules[cid] = rules.bind(cid, scope)
         self.templates[cid] = rules
         self.scope_domains[cid] = scope_domains
         for position, var in enumerate(scope):

@@ -42,7 +42,7 @@ def build_network(
     Gates and tables take one path: each is an extensional constraint,
     and constraints of one shape (the allowed tuples plus the declared
     values at each scope position) are compiled once per call into a rule
-    template that each of them binds. With ``assert_observations`` the
+    template that each of them shares. With ``assert_observations`` the
     observations declared in ``spec`` are asserted (and propagated) in
     declaration order. A ``seed`` switches propagation to randomized rule
     selection.

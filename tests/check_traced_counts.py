@@ -13,6 +13,10 @@ depend on the machine or the hash seed (``perfbench/check_counts.py``),
 so a difference means the program does different work. A change that
 means to do so rewrites the fixture with ``--write``, which prints each
 count it changes (workload, name, old -> new), and says why.
+
+A traced run rewrites the span files under ``perfbench/traces/``; the
+script puts back the bytes they had before it ran, so a check leaves the
+checkout as it found it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "traced_counts_seed1.json"
+TRACES = ROOT / "perfbench" / "traces"
 WORKLOADS = ("session", "diagnose", "compile")
 
 
@@ -53,7 +58,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true", help="rewrite the fixture from this checkout")
     args = parser.parse_args()
-    counts = {workload: traced_counts(workload) for workload in WORKLOADS}
+    kept = {path: path.read_bytes() for path in TRACES.glob("*.jsonl")}
+    try:
+        counts = {workload: traced_counts(workload) for workload in WORKLOADS}
+    finally:
+        for path in set(TRACES.glob("*.jsonl")) - kept.keys():
+            path.unlink()
+        for path, data in kept.items():
+            path.write_bytes(data)
     expected = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     changed = differences(expected, counts)
     if args.write:

@@ -33,7 +33,7 @@ from dyncsp import (
     verify_rules,
 )
 from dyncsp import compiler, diagnosis, engine, runner
-from dyncsp.core import FiniteDomain, RuleTemplate
+from dyncsp.core import FiniteDomain, PropagationRule, RuleTemplate
 
 from generators import (
     faulty_layered_circuit,
@@ -381,15 +381,19 @@ def test_criterion_9_chain_performance():
     assert restore_time < 0.050
 
 
-def _inverter_chain(length):
+def _not_template():
+    gate = ExtensionalConstraint("N", "not", ("A", "B"), gate_table("not", 1))
+    return RuleTemplate(gate, (BOOL, BOOL), generate(gate, {"A": BOOL, "B": BOOL}).rules)
+
+
+def _inverter_chain(length, template=None):
     """V0 -> V1 -> ... -> V<length> through ``not`` gates N1..N<length>.
 
-    One gate is compiled into a rule template that every gate binds,
+    One gate is compiled into a rule template that every gate shares,
     which keeps a 10 000-gate chain cheap to build.
     """
     table = gate_table("not", 1)
-    gate = ExtensionalConstraint("N", "not", ("A", "B"), table)
-    template = RuleTemplate(gate, (BOOL, BOOL), generate(gate, {"A": BOOL, "B": BOOL}).rules)
+    template = template or _not_template()
     net = Network()
     net.add_variable("V0")
     for i in range(1, length + 1):
@@ -482,6 +486,27 @@ def test_criterion_9_a_build_queues_only_rules_that_can_fire():
     assert len(net.agenda) == 0
     net = _inverter_chain(10_000)
     assert len(net.agenda) == 0
+
+
+def test_criterion_9_building_binds_no_rules(monkeypatch):
+    """Building the 10 000-gate ``not`` chain through ``add_constraint``
+    makes at most one ``PropagationRule`` per rule of the shared template;
+    binding each gate's rules as it was added made 40 000. A read binds
+    one gate's rules, once."""
+    template = _not_template()
+    made = []
+    init = PropagationRule.__init__
+
+    def counted(rule, *args, **kwargs):
+        made.append(args[0] if args else kwargs["id"])
+        init(rule, *args, **kwargs)
+
+    monkeypatch.setattr(PropagationRule, "__init__", counted)
+    net = _inverter_chain(10_000, template)
+    assert len(made) <= len(template.rules)
+    made.clear()
+    assert net.rules["N7"] is net.rules["N7"]
+    assert made == [f"N7.R{rule.index}" for rule in template.rules]
 
 
 def test_criterion_9_first_assert_checks_few_rules_per_firing(monkeypatch):

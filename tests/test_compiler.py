@@ -1,11 +1,24 @@
+import gc
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyncsp import ExtensionalConstraint, compiler, dump_rules, gate_table, generate, verify_rules
+from dyncsp import (
+    ExtensionalConstraint,
+    NetworkSpec,
+    TableDecl,
+    build_network,
+    compiler,
+    dump_rules,
+    gate_table,
+    generate,
+    parse_network,
+    verify_rules,
+)
 from dyncsp.compiler import (
     _candidate_assignments,
     _check_confluence,
@@ -15,9 +28,9 @@ from dyncsp.compiler import (
     projection,
     supporting_tuples,
 )
-from dyncsp.core import ConditionLiteral, PropagationRule
+from dyncsp.core import ConditionLiteral, Network, PropagationRule, RuleSet
 
-from generators import random_table
+from generators import faulty_layered_circuit, random_table, shared_shape_spec
 from oracles import BOOL, brute_projection, chained_fixpoint
 
 DECL3 = {"V1": BOOL, "V2": BOOL, "V3": BOOL}
@@ -579,3 +592,87 @@ def test_seeded_damaged_rule_sets_match_the_brute_force_oracle():
     the chaining lemma."""
     for seed in range(300):
         check_against_brute_force(*damaged_rule_set(random.Random(seed).choice))
+
+
+def layered_circuit_with_tables(seed):
+    """A 30-gate layered circuit plus tables over its signals: three tables
+    share one random ternary relation, and one is an ``and`` truth table,
+    so tables share templates with each other and with gates."""
+    rng = random.Random(seed)
+    spec, _ = faulty_layered_circuit(seed, 5, 30, 8, 0)
+    names = [v.name for v in spec.variables]
+    _, rows = random_table(rng.randrange(2**32), max_arity=3, min_arity=3)
+    tables = [TableDecl(f"T{k}", tuple(rng.sample(names, 3)), tuple(sorted(rows))) for k in range(3)]
+    tables.append(TableDecl("TA", tuple(rng.sample(names, 3)), tuple(sorted(gate_table("and", 2)))))
+    return NetworkSpec(variables=spec.variables, gates=spec.gates, tables=tuple(tables))
+
+
+def declared_for(network, constraint):
+    return {var: network.domains[var].declared for var in constraint.scope}
+
+
+def test_bound_rules_verify_as_their_plain_tuple():
+    """Bound rules are checked once per template; a plain tuple of the same
+    rules takes the full path, and both give the same report."""
+    fixtures = Path(__file__).parent / "fixtures"
+    specs = [parse_network((fixtures / name).read_text()) for name in ("circuit0.net", "circuit1.net")]
+    specs += [layered_circuit_with_tables(seed) for seed in range(3)]
+    specs += [shared_shape_spec(seed) for seed in range(10)]
+    shared = 0
+    for spec in specs:
+        net = build_network(spec, assert_observations=False)
+        reports = {}
+        for cid, constraint in net.constraints.items():
+            declared = declared_for(net, constraint)
+            report = verify_rules(net.rules[cid], constraint, declared)
+            assert report.passed, cid
+            assert report == verify_rules(tuple(net.rules[cid]), constraint, declared), cid
+            template = net.templates[cid]
+            if template in reports:
+                assert report is reports[template]  # the template's one check
+                shared += 1
+            reports[template] = report
+    assert shared > 0
+
+
+def test_a_damaged_shared_template_fails_with_each_constraints_own_witnesses():
+    """A failing template check does not stand for its constraints: each is
+    checked in full, so every witness names its own variables and rules."""
+    net = Network()
+    for var in "ABCDEF":
+        net.add_variable(var)
+    x = ExtensionalConstraint("X", "and", ("A", "B", "C"), gate_table("and", 2))
+    y = ExtensionalConstraint("Y", "and", ("D", "E", "F"), gate_table("and", 2))
+    rules = generate(x, dict.fromkeys("ABC", BOOL)).rules
+    # R4 reads A=true AND B=true THEN C in {true}; make it remove the supported value
+    damaged = rules[:3] + (PropagationRule("X.R4", "X", 4, rules[3].conditions, (("C", ("false",)),)),) + rules[4:]
+    net.add_constraint(x, RuleSet("X", damaged))
+    net.add_constraint(y, net.templates["X"])
+    for cid, constraint in net.constraints.items():
+        declared = declared_for(net, constraint)
+        report = verify_rules(net.rules[cid], constraint, declared)
+        assert not report.cr2.passed, cid
+        assert report == verify_rules(tuple(net.rules[cid]), constraint, declared), cid
+        for name in ("cr1", "cr2", "cr3", "cr4"):
+            witness = getattr(report, name).witness
+            if witness is None:
+                continue
+            named = set(witness.get("start", ())) | {witness.get("variable", constraint.scope[0])}
+            assert named <= set(constraint.scope), (cid, name, witness)
+            for rule in [witness.get("rule", f"{cid}.R1"), *witness.get("order", ())]:
+                assert rule.startswith(f"{cid}.R"), (cid, name, witness)
+    assert net.templates["X"].report is not None and not net.templates["X"].report.passed
+
+
+def test_generate_and_verify_leave_no_garbage_cycles():
+    """The candidate walk is not a closure that names itself, so a
+    compile and a check leave nothing for the cyclic garbage collector."""
+    c = ExtensionalConstraint("X", "and", ("A", "B", "C"), gate_table("and", 2))
+    declared = dict.fromkeys("ABC", BOOL)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_rules(generate(c, declared).rules, c, declared)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

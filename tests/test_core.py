@@ -188,6 +188,11 @@ def test_a_template_binds_only_constraints_of_its_shape():
         with pytest.raises(ValueError, match=message):
             net.add_constraint(bad, template)
         assert indexes(net) == before
+    # bound rules stand for the template's own in verification, so a scope
+    # that could not rename them is rejected
+    for scope in (("B", "B"), ("A",), ("A", "B", "C")):
+        with pytest.raises(ValueError, match="does not fit the shape"):
+            template.bind("N9", scope)
     # an equal table that is another object binds too
     n2 = ExtensionalConstraint("N2", "not", ("B", "C"), frozenset(table))
     net.add_constraint(n2, template)

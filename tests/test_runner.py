@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -11,6 +13,7 @@ from dyncsp import (
     TableDecl,
     VariableDecl,
     build_network,
+    diagnose,
     gate_table,
     generate,
     parse_network,
@@ -20,7 +23,7 @@ from dyncsp import (
 from dyncsp import runner
 from dyncsp.core import RuleTemplate
 
-from generators import shared_shape_spec
+from generators import faulty_layered_circuit, shared_shape_spec
 
 NETWORK = """\
 var A bool
@@ -249,7 +252,7 @@ def test_a_scope_that_repeats_a_variable_is_rejected_before_it_is_bound(monkeypa
     with pytest.raises(ValueError, match="repeats a scope variable"):
         build_network(spec)
     assert calls == {"T1": 1}  # T2 has T1's shape, so it reuses T1's template
-    assert bound == {"T1": 1}  # add_constraint rejects T2's scope before binding
+    assert bound == {}  # building binds nothing, and add_constraint rejects T2's scope
 
 
 def test_a_gate_and_a_table_of_its_truth_table_share_one_compile(monkeypatch):
@@ -273,3 +276,22 @@ def test_a_gate_and_a_table_of_its_truth_table_share_one_compile(monkeypatch):
         assert table_rule.conclusions == tuple(
             (renamed[var], vals) for var, vals in gate_rule.conclusions
         )
+
+
+def test_a_network_is_freed_without_the_cycle_collector():
+    """A network whose rules were all read and which ran a diagnosis forms
+    no reference cycle: its rules hold the network's dicts, not the
+    network, so dropping it frees it at once."""
+    spec, _ = faulty_layered_circuit(3, 5, 40, 8, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        net = build_network(spec)
+        assert net.first_empty() is not None
+        assert all(len(net.rules[cid]) == len(net.templates[cid].rules) for cid in net.rules)
+        assert diagnose(net, 2)
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -382,9 +382,9 @@ def verify_rules(
     are the template's own rules with the scope variables renamed, and
     renaming changes no criterion. So the template's own rules are
     checked once, the report is kept on the template, and a passing
-    report stands for every such constraint. A failing one does not: the
-    constraint's own rules are then checked, so the witnesses name its
-    variables.
+    report stands for every such constraint without reading, and so
+    renaming, its bound rules. A failing one does not: the constraint's
+    own rules are then checked, so the witnesses name its variables.
     """
     if isinstance(rules, BoundRules) and _has_shape(rules, constraint, declared):
         template = rules.template

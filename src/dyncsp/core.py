@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -171,10 +171,11 @@ class RuleTemplate:
     there; ``unconditional`` those that test nothing. Rule i of ``owner``
     must be named ``"{owner}.R{i}"``, so ids are unique by construction.
 
-    Nothing in the engine reads bound rules; :meth:`bind` makes them only
-    for rule dumps and verification, and ``report`` is where
-    ``verify_rules`` keeps its one check of the template's own rules,
-    which holds for every constraint of the shape.
+    Nothing in the engine reads bound rules; :meth:`bind` gives them, as
+    :class:`BoundRules` renamed only when read, for rule dumps and
+    verification. ``report`` is where ``verify_rules`` keeps its one
+    check of the template's own rules, which holds for every constraint
+    of the shape.
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
@@ -229,46 +230,74 @@ class RuleTemplate:
             self.packed.append((conditions, exclusions))
 
     def bind(self, owner: ConstraintId, scope: tuple[VariableId, ...]) -> "BoundRules":
-        """The rules of ``owner``, a constraint of this shape over ``scope``."""
+        """The rules of ``owner``, a constraint of this shape over ``scope``, renamed when read."""
         if len(scope) != len(self.scope) or len(set(scope)) != len(scope):
             raise ValueError(f"scope {scope!r} does not fit the shape of {self.owner!r}")
-        if (owner, scope) == (self.owner, self.scope):
-            return BoundRules(self.rules, self, scope)
-        rename = dict(zip(self.scope, scope))
-        literals = {
-            (var, v): ConditionLiteral(rename[var], v)
-            for var, dom in zip(self.scope, self.domains)
-            for v in dom
-        }
-        rules = (
-            PropagationRule(
-                f"{owner}.R{rule.index}",
-                owner,
-                rule.index,
-                tuple([literals[lit] for lit in rule.conditions]),
-                tuple([(rename[var], vals) for var, vals in rule.conclusions]),
-            )
-            for rule in self.rules
-        )
-        return BoundRules(rules, self, scope)
+        return BoundRules(self, owner, scope)
 
 
-class BoundRules(tuple):
-    """A template's rules bound onto ``scope``: a tuple of rules that
-    remembers its ``template``, so ``verify_rules`` can check the template
-    once for every constraint of its shape."""
+class BoundRules(Sequence):
+    """A template's rules bound onto ``scope`` for ``owner``, renamed only when a rule is read.
 
-    def __new__(cls, rules, template: RuleTemplate, scope: tuple[VariableId, ...]):
-        bound = super().__new__(cls, rules)
-        bound.template, bound.scope = template, scope
-        return bound
+    ``len`` builds nothing, so ``verify_rules`` can return a passing
+    shape's kept report without a rule object. Indexing, iteration,
+    ``==``, ``+`` and ``repr`` build the renamed rules once and keep
+    them; the owner's binding reads ``template.rules`` themselves.
+    """
+
+    __slots__ = ("template", "owner", "scope", "_rules")
+
+    def __init__(self, template: RuleTemplate, owner: ConstraintId, scope: tuple[VariableId, ...]):
+        self.template, self.owner, self.scope = template, owner, scope
+        self._rules = template.rules if (owner, scope) == (template.owner, template.scope) else None
+
+    def _renamed(self) -> tuple[PropagationRule, ...]:
+        if self._rules is None:
+            template, owner = self.template, self.owner
+            rename = dict(zip(template.scope, self.scope))
+            literals = {
+                (var, v): ConditionLiteral(rename[var], v)
+                for var, dom in zip(template.scope, template.domains)
+                for v in dom
+            }
+            self._rules = tuple([
+                PropagationRule(
+                    f"{owner}.R{rule.index}",
+                    owner,
+                    rule.index,
+                    tuple([literals[lit] for lit in rule.conditions]),
+                    tuple([(rename[var], vals) for var, vals in rule.conclusions]),
+                )
+                for rule in template.rules
+            ])
+        return self._rules
+
+    def __len__(self) -> int:
+        return len(self.template.rules)
+
+    def __getitem__(self, i):
+        return self._renamed()[i]
+
+    def __iter__(self):
+        return iter(self._renamed())
+
+    def __eq__(self, other):
+        return self._renamed() == (other._renamed() if isinstance(other, BoundRules) else other)
+
+    def __add__(self, other):
+        return self._renamed() + other
+
+    def __repr__(self) -> str:
+        return repr(self._renamed())
 
 
 class LazyRules(Mapping):
     """``Network.rules``: each constraint's rules, bound from its template on first read.
 
-    It holds the network's ``templates`` and ``constraints`` dicts, not
-    the network, so a network and its rules form no reference cycle.
+    A read keeps the constraint's :class:`BoundRules`, which rename no
+    rule until one is read. It holds the network's ``templates`` and
+    ``constraints`` dicts, not the network, so a network and its rules
+    form no reference cycle.
     """
 
     def __init__(self, templates: dict, constraints: dict):
@@ -401,10 +430,11 @@ class Network:
     ``rules`` maps a constraint to its rules, which only rule dumps and
     verification read: it binds a constraint's template onto its scope on
     the first read (:class:`LazyRules`), so building a network binds
-    nothing. ``firings`` keeps every firing, cancelled or
-    not, and ``active_firing`` maps a rule's key to its one active
-    firing; the watch lists and ``active_firing`` together say which
-    active firings test a variable. ``events`` is the trail: every change to masks, firings,
+    nothing, and renames its rules only when one is read. ``firings``
+    keeps every firing, cancelled or not, and ``active_firing`` maps a
+    rule's key to its one active firing; the watch lists and
+    ``active_firing`` together say which active firings test a
+    variable. ``events`` is the trail: every change to masks, firings,
     observations and constraint flags appends one event, and
     :meth:`rollback` undoes them.
     """

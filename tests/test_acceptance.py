@@ -491,8 +491,9 @@ def test_criterion_9_a_build_queues_only_rules_that_can_fire():
 def test_criterion_9_building_binds_no_rules(monkeypatch):
     """Building the 10 000-gate ``not`` chain through ``add_constraint``
     makes at most one ``PropagationRule`` per rule of the shared template;
-    binding each gate's rules as it was added made 40 000. A read binds
-    one gate's rules, once."""
+    binding each gate's rules as it was added made 40 000. Reading a
+    gate's rules makes none until a rule is read; the first rule read
+    makes that gate's rules, once."""
     template = _not_template()
     made = []
     init = PropagationRule.__init__
@@ -506,6 +507,10 @@ def test_criterion_9_building_binds_no_rules(monkeypatch):
     assert len(made) <= len(template.rules)
     made.clear()
     assert net.rules["N7"] is net.rules["N7"]
+    assert made == []
+    assert net.rules["N7"][0].id == "N7.R1"
+    assert made == [f"N7.R{rule.index}" for rule in template.rules]
+    assert list(net.rules["N7"]) == list(net.rules["N7"])
     assert made == [f"N7.R{rule.index}" for rule in template.rules]
 
 

@@ -71,6 +71,17 @@ def test_run_reports_match_the_golden_bytes(name, network, script, code, capsys)
         assert capsys.readouterr().out == expected, (name, fmt)
 
 
+@pytest.mark.parametrize("name", ["circuit0", "circuit1"])
+def test_rule_dumps_and_verify_lines_match_the_golden_bytes(name, capsys):
+    """``compile --dump-rules`` and ``verify`` print exactly the committed
+    bytes, including the rules renamed onto gates that share a template."""
+    network = str(FIXTURES / f"{name}.net")
+    for argv, suffix in ((["compile", network, "--dump-rules"], "rules"), (["verify", network], "verify")):
+        assert main(argv) == 0
+        expected = (FIXTURES / "reports" / f"{name}.{suffix}").read_bytes().decode("utf-8")
+        assert capsys.readouterr().out == expected, (name, suffix)
+
+
 def test_run_timestamp_is_opt_in(capsys):
     main(["run", CIRCUIT0, CIRCUIT0_SCRIPT, "--json", "--timestamp"])
     payload = json.loads(capsys.readouterr().out)

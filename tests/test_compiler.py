@@ -664,6 +664,70 @@ def test_a_damaged_shared_template_fails_with_each_constraints_own_witnesses():
     assert net.templates["X"].report is not None and not net.templates["X"].report.passed
 
 
+def count_rule_constructions(monkeypatch):
+    """The ids of the ``PropagationRule`` objects constructed from now on."""
+    made = []
+    init = PropagationRule.__init__
+
+    def counted(rule, *args, **kwargs):
+        made.append(args[0] if args else kwargs["id"])
+        init(rule, *args, **kwargs)
+
+    monkeypatch.setattr(PropagationRule, "__init__", counted)
+    return made
+
+
+def test_verifying_passing_shapes_constructs_no_rule(monkeypatch):
+    """Verifying every constraint of a 300-gate circuit, as ``dyncsp verify``
+    does, constructs no ``PropagationRule``: each shape passes its template's
+    one check, so no constraint's bound rules are read. Renaming a
+    template's rules on each first read made one per rule of every gate
+    but the template's owner."""
+    spec, _ = faulty_layered_circuit(0, 10, 300, 30, 2)
+    net = build_network(spec, assert_observations=False)
+    made = count_rule_constructions(monkeypatch)
+    for cid, constraint in net.constraints.items():
+        assert verify_rules(net.rules[cid], constraint, declared_for(net, constraint)).passed, cid
+    assert made == []
+
+
+def test_bound_rules_read_as_the_tuple_generate_makes(monkeypatch):
+    """Bound rules are a read-only sequence equal to what ``generate`` makes
+    for their constraint. Their length builds nothing; the first rule read
+    renames the template's rules once, and the owner's binding reads the
+    template's own rules."""
+    net = Network()
+    for var in "ABCDEF":
+        net.add_variable(var)
+    x = ExtensionalConstraint("X", "and", ("A", "B", "C"), gate_table("and", 2))
+    y = ExtensionalConstraint("Y", "and", ("D", "E", "F"), gate_table("and", 2))
+    net.add_constraint(x, generate(x, dict.fromkeys("ABC", BOOL)))
+    net.add_constraint(y, net.templates["X"])
+    expected = generate(y, dict.fromkeys("DEF", BOOL)).rules
+    template = net.templates["Y"]
+    made = count_rule_constructions(monkeypatch)
+    bound = net.rules["Y"]
+    assert len(bound) == len(expected) == 6 and bound
+    assert made == []
+    assert bound[0] == expected[0]
+    assert made == [f"Y.R{i}" for i in range(1, 7)]
+    assert bound == tuple(bound) and tuple(bound) == bound
+    assert bound == expected and expected == bound
+    assert bound != expected[:5] and expected[:5] != bound
+    assert list(bound) == list(expected) and bound[-1] == expected[-1] and bound[1:3] == expected[1:3]
+    assert bound + ("x",) == expected + ("x",)
+    assert repr(bound) == repr(expected)
+    assert expected[2] in bound and bound.index(expected[2]) == 2
+    with pytest.raises(IndexError):
+        bound[6]
+    assert made == [f"Y.R{i}" for i in range(1, 7)]
+    own = net.rules["X"]
+    assert len(own) == len(template.rules) and all(a is b for a, b in zip(own, template.rules))
+    assert made == [f"Y.R{i}" for i in range(1, 7)]
+    with pytest.raises(ValueError, match="does not fit the shape"):
+        template.bind("Z", ("D", "D", "F"))
+
+
 def test_generate_and_verify_leave_no_garbage_cycles():
     """The candidate walk is not a closure that names itself, so a
     compile and a check leave nothing for the cyclic garbage collector."""

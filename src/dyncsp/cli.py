@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success, 1 when a run ends inconsistent (without a
 diagnose command), when no diagnosis exists within the bound, or when
-rule verification fails; 2 on unreadable or invalid input.
+rule verification fails; 2 on unreadable or invalid input; 141 (128 +
+SIGPIPE) when standard output closes early, as in ``dyncsp run ... | head``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .compiler import dump_rules, verify_rules
@@ -139,7 +141,12 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # flush at exit: no error
+        return 141
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

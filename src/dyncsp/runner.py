@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 
 from .compiler import dump_rules, generate
 from .core import ExtensionalConstraint, Network, Observation, RuleTemplate
@@ -112,7 +113,9 @@ class Report:
         return payload
 
     def to_json(self, *, timestamp: bool = False) -> str:
-        return json.dumps(self.to_payload(timestamp=timestamp), indent=2)
+        parts: list[str] = []
+        _write_json(self.to_payload(timestamp=timestamp), "", parts)
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines: list[str] = []
@@ -123,6 +126,36 @@ class Report:
             lines.append(f"  {var} = {{{', '.join(values)}}}")
         lines.append(f"consistent: {'yes' if self.final_consistent else 'no'}")
         return "\n".join(lines) + "\n"
+
+
+def _write_json(value, indent: str, parts: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2)`` writes it, keys str only."""
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        parts.append(int.__repr__(value))
+    elif not isinstance(value, (list, tuple, dict)) or not value:
+        parts.append(json.dumps(value))  # true, false, null, floats, [] and {}
+    else:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            head = "{\n" + inner
+            for key, item in value.items():
+                parts.append(head + _quote(key) + ": ")  # TypeError on a key that is not a str
+                _write_json(item, inner, parts)
+                head = sep
+            parts.append("\n" + indent + "}")
+            return
+        try:  # a list of strings only: _quote raises TypeError at any other item
+            parts.append("[\n" + inner + sep.join(map(_quote, value)) + "\n" + indent + "]")
+        except TypeError:
+            head = "[\n" + inner
+            for item in value:
+                parts.append(head)
+                _write_json(item, inner, parts)
+                head = sep
+            parts.append("\n" + indent + "]")
 
 
 def _set_text(ids: list[str]) -> str:

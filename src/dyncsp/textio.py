@@ -110,24 +110,28 @@ class _Cursor:
 
     def __init__(self, line_no: int, text: str):
         self.line_no = line_no
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(text)]
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
 
     def error(self, message: str, column: int | None = None) -> ParseError:
         return ParseError(message, self.line_no, column)
 
+    @property
+    def column(self) -> int:
+        """The 1-based column of the last token taken, found by its index on the line."""
+        return [m.start() + 1 for m in _TOKEN.finditer(self.text)][self.pos - 1]
+
     def peek(self) -> str | None:
         if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
+            return self.tokens[self.pos]
         return None
 
     def take(self, what: str) -> str:
         if self.pos >= len(self.tokens):
             raise self.error(f"expected {what}, found end of line")
-        token, column = self.tokens[self.pos]
         self.pos += 1
-        self.column = column
-        return token
+        return self.tokens[self.pos - 1]
 
     def expect(self, literal: str) -> None:
         token = self.take(f"{literal!r}")
@@ -136,8 +140,8 @@ class _Cursor:
 
     def finish(self) -> None:
         if self.pos < len(self.tokens):
-            token, column = self.tokens[self.pos]
-            raise self.error(f"unexpected trailing {token!r}", column)
+            token = self.take("a trailing token")
+            raise self.error(f"unexpected trailing {token!r}", self.column)
 
     def take_norelax_flag(self) -> bool:
         if self.peek() == NORELAX:

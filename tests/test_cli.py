@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dyncsp
 from dyncsp.cli import main
 
 from conftest import FIXTURES
@@ -197,3 +202,23 @@ def test_invalid_runtime_commands_exit_with_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "O1" in err
     assert "line 1" in err
+
+
+def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path):
+    # About 1 MB of report, far more than a pipe holds: the writer is still
+    # writing when the reader closes its end after the first line.
+    network = tmp_path / "wide.net"
+    network.write_text("".join(f"var V{i} bool\n" for i in range(20000)))
+    script = tmp_path / "empty.script"
+    script.write_text("")
+    src = str(Path(dyncsp.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyncsp.cli", "run", str(network), str(script), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141

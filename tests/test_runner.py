@@ -1,9 +1,12 @@
+import dataclasses
 import gc
 import json
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncsp import (
     BOOL_DOMAIN,
@@ -23,7 +26,12 @@ from dyncsp import (
 from dyncsp import runner
 from dyncsp.core import RuleTemplate
 
-from generators import faulty_layered_circuit, shared_shape_spec
+from generators import (
+    faulty_layered_circuit,
+    random_network,
+    random_observations,
+    shared_shape_spec,
+)
 
 NETWORK = """\
 var A bool
@@ -131,6 +139,42 @@ def test_json_payload_shape_and_stability():
     assert payload == json.loads(report.to_json())
     stamped = json.loads(report.to_json(timestamp=True))
     assert set(stamped) == {"events", "conflicts", "diagnoses", "domains", "timestamp"}
+
+
+# Strings that json escapes: quotes, backslashes, control characters, U+2028
+# and non-ASCII text, mixed with arbitrary characters.
+JSON_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028é€\U0001f600') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(JSON_VALUES)
+def test_the_json_writer_equals_json_dumps_with_an_indent(value):
+    parts = []
+    runner._write_json(value, "", parts)
+    assert "".join(parts) == json.dumps(value, indent=2)
+
+
+def test_run_json_reports_of_random_networks_equal_json_dumps():
+    for seed in range(50):
+        spec = random_network(seed)
+        spec = dataclasses.replace(spec, observations=random_observations(seed, spec))
+        report = run_script(spec, parse_script("conflicts\ndiagnose max=2\n", spec))
+        assert report.to_json() == json.dumps(report.to_payload(), indent=2)
+
+
+@pytest.mark.parametrize("key", [1, None, True, 1.5, ("a",)])
+def test_the_json_writer_rejects_a_key_that_is_not_a_string(key):
+    with pytest.raises(TypeError):
+        runner._write_json({"events": [{key: "x"}]}, "", [])
 
 
 def test_text_rendering_covers_every_event_kind():

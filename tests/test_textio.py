@@ -11,7 +11,7 @@ from dyncsp import (
     parse_script,
     serialize_network,
 )
-from dyncsp.textio import Command
+from dyncsp.textio import _TOKEN, Command
 
 NETWORK = """\
 # a small mixed network
@@ -116,6 +116,49 @@ def test_parse_error_records_the_column():
         with pytest.raises(ParseError) as exc:
             parse_network(text)
         assert exc.value.column == column
+
+
+# (source, "network" or "script", error line, index of the offending token on
+# that line, message): each offending token's text also occurs earlier on its
+# line, so a column found by searching for the text would be wrong.
+ERROR_POSITIONS = [
+    ("var var bool\nvar var bool", "network", 2, 1, "variable 'var' already declared"),
+    ("var X { a b a }", "network", 1, 5, "duplicate domain value 'a'"),
+    ("\t\tvar X { a b a }", "network", 1, 5, "duplicate domain value 'a'"),
+    ("var int int", "network", 1, 2, "expected 'bool' or '{', found 'int'"),
+    ("var A bool bool", "network", 1, 3, "unexpected trailing 'bool'"),
+    ("var A bool\ngate G1 and A G1 -> A", "network", 2, 4, "undeclared variable 'G1'"),
+    ("var A bool\n  gate nope nope A -> A", "network", 2, 2, "unknown gate kind 'nope'"),
+    ("var A bool\ngate G1 not A -> A -> A", "network", 2, 6, "unexpected trailing '->'"),
+    ("var A bool\ntable T1 ( A A ) : (true)", "network", 2, 4, "table 'T1' repeats variable 'A'"),
+    ("var A bool\ntable A ( A ) : (A)", "network", 2, 7, "value 'A' is outside the domain of 'A'"),
+    ("var A bool\ntable T1 ( A ) : (true) true", "network", 2, 9, "expected '(', found 'true'"),
+    ("var A bool\n\t obs A A = A", "network", 2, 4, "value 'A' is outside the domain of 'A'"),
+    ("var A bool\nobs M1 M1 = true", "network", 2, 2, "undeclared variable 'M1'"),
+    ("var A bool\nobs M1 A = true true", "network", 2, 5, "unexpected trailing 'true'"),
+    ("retract M1 M1", "script", 1, 2, "unexpected trailing 'M1'"),
+    ("relax relax", "script", 1, 1, "unknown constraint 'relax'"),
+    ("dump dump", "script", 1, 1, "expected 'rules' or 'domains', found 'dump'"),
+    ("dump rules rules", "script", 1, 2, "unknown constraint 'rules'"),
+    ("diagnose diagnose", "script", 1, 1, "expected 'max=<positive int>', found 'diagnose'"),
+    ("propagate\n  assert M2 M2 = true", "script", 2, 2, "undeclared variable 'M2'"),
+    ("\tassert M2 A = true true", "script", 1, 5, "unexpected trailing 'true'"),
+]
+
+
+@pytest.mark.parametrize("text, kind, line, index, message", ERROR_POSITIONS)
+def test_parse_errors_point_at_the_offending_token(text, kind, line, index, message):
+    matches = list(_TOKEN.finditer(text.splitlines()[line - 1]))
+    tokens = [m.group() for m in matches]
+    assert tokens[index] in tokens[:index]
+    column = matches[index].start() + 1
+    with pytest.raises(ParseError) as exc:
+        if kind == "network":
+            parse_network(text)
+        else:
+            parse_script(text, parse_network(NETWORK))
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
 
 
 SCRIPT = """\

@@ -5,13 +5,17 @@ constraints with their compiled propagation rules, observations, and a
 firing trace that keeps one record per rule application, which is also
 its ``fire`` event. Inside the network a rule is its key, the pair
 (constraint id, 1-based rule index), read in the packed form of its
-constraint's template. Runtime narrowing never deletes a value: it masks
-the value under one or more justifications (firing ids or observation
-ids), so every removal is reversible and attributable. Every mutation
-appends to an event log; replaying the log against a fresh structural
-copy reproduces the state exactly. The log is also the undo trail:
-``Network.rollback`` inverts the events logged since a mark, newest
-first, so undo costs what changed, not the size of the network.
+constraint's template. Only rule dumps and verification read rule
+objects, through the plain dict ``Network.rules``, whose entries rename
+the template's rules onto the constraint on first read. Runtime
+narrowing never deletes a value: it masks the value under one or more
+justifications (firing ids or observation ids), so every removal is
+reversible and attributable. Every mutation appends to an event log;
+replaying the log against a fresh structural copy reproduces the state
+exactly. The log is also the undo trail: ``Network.rollback`` inverts
+the events logged since a mark, newest first, and unregisters the
+constraints added since, so undo costs what changed, not the size of
+the network.
 
 Each network also keeps an agenda under one invariant: every applicable
 rule is queued, and a rule is queued only when its conditions hold.
@@ -29,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -160,8 +164,9 @@ class RuleTemplate:
     """The rules compiled for ``owner``, validated once, for every constraint of its shape.
 
     A shape is the allowed tuples plus the declared values at each scope
-    position, and compiling depends on nothing else, so :meth:`bind` gives
-    another constraint of the shape exactly the rules ``generate`` would.
+    position, and compiling depends on nothing else, so the template's
+    rules renamed onto another constraint of the shape are exactly the
+    rules ``generate`` would give it.
     A value at scope position p is named by its bit in the declared
     values there, as in :class:`FiniteDomain`. ``packed[i - 1]`` is rule
     i as ``(conditions, exclusions)``: its (position, bit) conditions in
@@ -171,9 +176,9 @@ class RuleTemplate:
     there; ``unconditional`` those that test nothing. Rule i of ``owner``
     must be named ``"{owner}.R{i}"``, so ids are unique by construction.
 
-    Nothing in the engine reads bound rules; :meth:`bind` gives them, as
-    :class:`BoundRules` renamed only when read, for rule dumps and
-    verification. ``report`` is where ``verify_rules`` keeps its one
+    Nothing in the engine reads renamed rules; rule dumps and
+    verification read them through each constraint's :class:`BoundRules`
+    in ``Network.rules``. ``report`` is where ``verify_rules`` keeps its one
     check of the template's own rules, which holds for every constraint
     of the shape.
     """
@@ -229,31 +234,27 @@ class RuleTemplate:
                 exclusions.append((p, excluded))
             self.packed.append((conditions, exclusions))
 
-    def bind(self, owner: ConstraintId, scope: tuple[VariableId, ...]) -> "BoundRules":
-        """The rules of ``owner``, a constraint of this shape over ``scope``, renamed when read."""
-        if len(scope) != len(self.scope) or len(set(scope)) != len(scope):
-            raise ValueError(f"scope {scope!r} does not fit the shape of {self.owner!r}")
-        return BoundRules(self, owner, scope)
-
 
 class BoundRules(Sequence):
     """A template's rules bound onto ``scope`` for ``owner``, renamed only when a rule is read.
 
-    ``len`` builds nothing, so ``verify_rules`` can return a passing
-    shape's kept report without a rule object. Indexing, iteration,
-    ``==``, ``+`` and ``repr`` build the renamed rules once and keep
-    them; the owner's binding reads ``template.rules`` themselves.
+    ``Network.add_constraint`` makes one per constraint, which only keeps
+    its three references. ``len`` builds nothing, so ``verify_rules`` can
+    return a passing shape's kept report without a rule object. Indexing,
+    iteration, ``==``, ``+`` and ``repr`` build the renamed rules once and
+    keep them; the template's owner reads ``template.rules`` themselves.
     """
 
     __slots__ = ("template", "owner", "scope", "_rules")
 
     def __init__(self, template: RuleTemplate, owner: ConstraintId, scope: tuple[VariableId, ...]):
-        self.template, self.owner, self.scope = template, owner, scope
-        self._rules = template.rules if (owner, scope) == (template.owner, template.scope) else None
+        self.template, self.owner, self.scope, self._rules = template, owner, scope, None
 
     def _renamed(self) -> tuple[PropagationRule, ...]:
-        if self._rules is None:
-            template, owner = self.template, self.owner
+        template, owner = self.template, self.owner
+        if self._rules is None and (owner, self.scope) == (template.owner, template.scope):
+            self._rules = template.rules
+        elif self._rules is None:
             rename = dict(zip(template.scope, self.scope))
             literals = {
                 (var, v): ConditionLiteral(rename[var], v)
@@ -289,36 +290,6 @@ class BoundRules(Sequence):
 
     def __repr__(self) -> str:
         return repr(self._renamed())
-
-
-class LazyRules(Mapping):
-    """``Network.rules``: each constraint's rules, bound from its template on first read.
-
-    A read keeps the constraint's :class:`BoundRules`, which rename no
-    rule until one is read. It holds the network's ``templates`` and
-    ``constraints`` dicts, not the network, so a network and its rules
-    form no reference cycle.
-    """
-
-    def __init__(self, templates: dict, constraints: dict):
-        self._templates, self._constraints = templates, constraints
-        self._bound: dict[ConstraintId, BoundRules] = {}
-
-    def __getitem__(self, cid: ConstraintId) -> BoundRules:
-        rules = self._bound.get(cid)
-        if rules is None:
-            rules = self._templates[cid].bind(cid, self._constraints[cid].scope)
-            self._bound[cid] = rules
-        return rules
-
-    def __contains__(self, cid) -> bool:
-        return cid in self._templates
-
-    def __iter__(self):
-        return iter(self._templates)
-
-    def __len__(self) -> int:
-        return len(self._templates)
 
 
 @dataclass
@@ -428,9 +399,9 @@ class Network:
     only when all its conditions hold (:meth:`push_holding`).
 
     ``rules`` maps a constraint to its rules, which only rule dumps and
-    verification read: it binds a constraint's template onto its scope on
-    the first read (:class:`LazyRules`), so building a network binds
-    nothing, and renames its rules only when one is read. ``firings``
+    verification read: :meth:`add_constraint` stores one
+    :class:`BoundRules` per constraint, which renames its template's
+    rules onto the constraint's scope only when one is read. ``firings``
     keeps every firing, cancelled or not, and ``active_firing`` maps a
     rule's key to its one active firing; the watch lists and
     ``active_firing`` together say which active firings test a
@@ -443,7 +414,7 @@ class Network:
         self.domains: dict[VariableId, FiniteDomain] = {}
         self.constraints: dict[ConstraintId, ExtensionalConstraint] = {}
         self.templates: dict[ConstraintId, RuleTemplate] = {}
-        self.rules = LazyRules(self.templates, self.constraints)
+        self.rules: dict[ConstraintId, BoundRules] = {}
         self.scope_domains: dict[ConstraintId, tuple[FiniteDomain, ...]] = {}
         self.occurrences: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
         self.agenda = Agenda()
@@ -493,6 +464,7 @@ class Network:
             raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
         self.constraints[cid] = constraint
         self.templates[cid] = rules
+        self.rules[cid] = BoundRules(rules, cid, scope)
         self.scope_domains[cid] = scope_domains
         for position, var in enumerate(scope):
             self.occurrences.setdefault(var, []).append((cid, position))
@@ -543,9 +515,14 @@ class Network:
         return {name: dom.visible() for name, dom in self.domains.items()}
 
     def snapshot(self) -> tuple:
-        """Mark the trail, keeping what no event records: agenda, empty_order, next id, rng."""
+        """Mark the trail, keeping what no event records.
+
+        That is the constraint count, the agenda, ``empty_order``, the next
+        firing id and the rng state.
+        """
         return (
             len(self.events),
+            len(self.constraints),
             self.agenda.copy(),
             list(self.empty_order),
             self.next_firing_id,
@@ -553,8 +530,12 @@ class Network:
         )
 
     def rollback(self, mark: tuple) -> None:
-        """Return to ``mark`` by inverting each event logged since, newest first."""
-        count, agenda, empty_order, next_firing_id, rng_state = mark
+        """Return to ``mark`` by inverting each event logged since, newest first.
+
+        Then each constraint added since is unregistered, newest first; no
+        event records a registration.
+        """
+        count, constraint_count, agenda, empty_order, next_firing_id, rng_state = mark
         for event in reversed(self.events[count:]):
             kind = event[0]
             if kind == "mask":
@@ -573,6 +554,13 @@ class Network:
             elif kind in ("relax", "restore"):
                 self.constraints[event[1]].active = kind == "relax"
         del self.events[count:]
+        while len(self.constraints) > constraint_count:
+            cid, constraint = self.constraints.popitem()
+            del self.templates[cid], self.rules[cid], self.scope_domains[cid]
+            for var in constraint.scope:
+                self.occurrences[var].pop()
+                if not self.occurrences[var]:
+                    del self.occurrences[var]
         self.agenda = agenda.copy()
         self.empty_order = list(empty_order)
         self.next_firing_id = next_firing_id

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -212,13 +214,78 @@ def test_a_closed_stdout_exits_141_without_an_error_line(tmp_path):
     script = tmp_path / "empty.script"
     script.write_text("")
     src = str(Path(dyncsp.__file__).resolve().parent.parent)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "dyncsp.cli", "run", str(network), str(script), "--json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    assert proc.stderr.read() == b""
-    assert proc.wait(timeout=60) == 141
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+
+def mutate(text, rng):
+    """Drop, duplicate or swap one to three lines, or tokens within a line, of ``text``."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        line = rng.randrange(len(lines))
+        tokens = lines[line].split()
+        items = lines if rng.random() < 0.5 or not tokens else tokens
+        i, j = rng.randrange(len(items)), rng.randrange(len(items))
+        op = rng.choice(("drop", "duplicate", "swap"))
+        if op == "drop":
+            del items[i]
+        elif op == "duplicate":
+            items.insert(j, items[i])
+        else:
+            items[i], items[j] = items[j], items[i]
+        if items is tokens:
+            lines[line] = " ".join(tokens)
+    return "".join(line + "\n" for line in lines)
+
+
+# Each network with its scripts; every script also dumps the rules of A1,
+# so runs read network.rules as compile --dump-rules and verify do.
+FUZZ_INPUTS = (
+    ("circuit0.net", "circuit0.script"),
+    ("circuit1.net", "circuit1.script"),
+    ("circuit1.net", "circuit1_session.script"),
+)
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
+    """300 seeded mutations of a network or script, each run through five
+    commands, never escape with an exception: exit 0 or 1 writes nothing
+    to stderr, and exit 2 writes one ``error:`` line."""
+    network, script = tmp_path / "fuzz.net", tmp_path / "fuzz.script"
+    codes = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        network_name, script_name = rng.choice(FUZZ_INPUTS)
+        texts = [
+            (FIXTURES / network_name).read_text(),
+            (FIXTURES / script_name).read_text() + "dump rules A1\n",
+        ]
+        for k in rng.choice(((0,), (1,), (0, 1))):
+            texts[k] = mutate(texts[k], rng)
+        network.write_text(texts[0])
+        script.write_text(texts[1])
+        for argv in (
+            ["compile", str(network), "--dump-rules"],
+            ["verify", str(network)],
+            ["diagnose", str(network), "--max-card", "2"],
+            ["run", str(network), str(script), "--json"],
+            ["run", str(network), str(script)],
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            codes[code] += 1
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (seed, argv, err)
+            else:
+                assert code in (0, 1) and err == "", (seed, argv, code, err)
+    assert all(codes[code] for code in (0, 1, 2)), codes  # the mutations reach every exit

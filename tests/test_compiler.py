@@ -724,8 +724,6 @@ def test_bound_rules_read_as_the_tuple_generate_makes(monkeypatch):
     own = net.rules["X"]
     assert len(own) == len(template.rules) and all(a is b for a, b in zip(own, template.rules))
     assert made == [f"Y.R{i}" for i in range(1, 7)]
-    with pytest.raises(ValueError, match="does not fit the shape"):
-        template.bind("Z", ("D", "D", "F"))
 
 
 def test_generate_and_verify_leave_no_garbage_cycles():

@@ -24,7 +24,7 @@ from dyncsp import (
     run_script,
 )
 from dyncsp import runner
-from dyncsp.core import RuleTemplate
+from dyncsp.core import PropagationRule
 
 from generators import (
     faulty_layered_circuit,
@@ -278,14 +278,14 @@ def test_build_network_rules_equal_a_fresh_compile_of_each_constraint(monkeypatc
 
 def test_a_scope_that_repeats_a_variable_is_rejected_before_it_is_bound(monkeypatch):
     calls = count_compiles(monkeypatch)
-    bound = Counter()
-    bind = RuleTemplate.bind
+    made = []
+    init = PropagationRule.__init__
 
-    def counted_bind(template, owner, scope):
-        bound[owner] += 1
-        return bind(template, owner, scope)
+    def counted(rule, *args, **kwargs):
+        made.append(args[0] if args else kwargs["id"])
+        init(rule, *args, **kwargs)
 
-    monkeypatch.setattr(RuleTemplate, "bind", counted_bind)
+    monkeypatch.setattr(PropagationRule, "__init__", counted)
     spec = NetworkSpec(
         variables=(VariableDecl("A", ("a", "b")), VariableDecl("B", ("a", "b"))),
         tables=(
@@ -296,7 +296,8 @@ def test_a_scope_that_repeats_a_variable_is_rejected_before_it_is_bound(monkeypa
     with pytest.raises(ValueError, match="repeats a scope variable"):
         build_network(spec)
     assert calls == {"T1": 1}  # T2 has T1's shape, so it reuses T1's template
-    assert bound == {}  # building binds nothing, and add_constraint rejects T2's scope
+    # only T1's compile makes rule objects: registering renames none, and T2's scope is rejected
+    assert [rid for rid in made if not rid.startswith("T1.")] == []
 
 
 def test_a_gate_and_a_table_of_its_truth_table_share_one_compile(monkeypatch):

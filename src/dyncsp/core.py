@@ -8,14 +8,14 @@ its ``fire`` event. Inside the network a rule is its key, the pair
 constraint's template. Only rule dumps and verification read rule
 objects, through the plain dict ``Network.rules``, whose entries rename
 the template's rules onto the constraint on first read. Runtime
-narrowing never deletes a value: it masks the value under one or more
+narrowing never deletes a value: it masks the value under a set of
 justifications (firing ids or observation ids), so every removal is
 reversible and attributable. Every mutation appends to an event log;
 replaying the log against a fresh structural copy reproduces the state
 exactly. The log is also the undo trail: ``Network.rollback`` inverts
 the events logged since a mark, newest first, and unregisters the
-constraints added since, so undo costs what changed, not the size of
-the network.
+constraints and variables added since, so undo costs what changed, not
+the size of the network.
 
 Each network also keeps an agenda under one invariant: every applicable
 rule is queued, and a rule is queued only when its conditions hold.
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -67,21 +66,24 @@ class ConditionLiteral(NamedTuple):
 
 @dataclass(slots=True)
 class FiniteDomain:
-    """Declared values of one variable plus the masks hiding some of them.
+    """One variable's whole record: declared values, masks and watch list.
 
-    A value is visible iff it has no entry in ``mask``. The declared tuple
-    never changes; all narrowing happens through masks, each counted per
-    justification so independent causes can hide the same value.
+    The declared tuple never changes; all narrowing happens through
+    ``mask``, which maps each hidden value to the set of causes hiding it.
     ``visible_bits`` mirrors the mask as one int: bit i is set iff
     ``declared[i]`` is visible, the per-variable bit order of the
     compiler's ``_Layout``. ``hide`` and ``unhide`` are the only writers of
     both, so the variable is instantiated to a value exactly when
-    ``visible_bits`` equals that value's :meth:`bit`.
+    ``visible_bits`` equals that value's :meth:`bit`. ``occurrences`` is
+    the watch list: the variable's (constraint, scope position) pairs.
     """
 
     variable: VariableId
     declared: tuple[Value, ...]
-    mask: dict[Value, Counter] = field(default_factory=dict)
+    mask: dict[Value, set[Cause]] = field(default_factory=dict)
+    occurrences: list[tuple[ConstraintId, int]] = field(
+        default_factory=list, repr=False, compare=False
+    )
     visible_bits: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -105,23 +107,20 @@ class FiniteDomain:
         return len(self.declared) - len(self.mask)
 
     def hide(self, value: Value, cause: Cause) -> bool:
-        """Count one more ``cause`` hiding ``value``; True if it was visible."""
-        bit = 1 << self.declared.index(value)
+        """Add ``cause`` to the causes hiding ``value``; True if it was visible."""
         newly = value not in self.mask
-        self.mask.setdefault(value, Counter())[cause] += 1
-        self.visible_bits &= ~bit
+        self.mask.setdefault(value, set()).add(cause)
+        self.visible_bits &= ~(1 << self.declared.index(value))
         return newly
 
     def unhide(self, value: Value, cause: Cause) -> bool:
-        """Drop one count of ``cause`` on ``value``; True if it became visible."""
-        ctr = self.mask[value]
-        ctr[cause] -= 1
-        if ctr[cause] == 0:
-            del ctr[cause]
-        if not ctr:
+        """Remove ``cause`` from the causes hiding ``value``; True if it became visible."""
+        causes = self.mask[value]
+        causes.remove(cause)
+        if not causes:
             del self.mask[value]
             self.visible_bits |= 1 << self.declared.index(value)
-        return not ctr
+        return not causes
 
 
 @dataclass(slots=True)
@@ -389,14 +388,15 @@ class Network:
     constraint; ``rng`` switches rule selection to a randomized order (a
     test mode for exercising confluence).
 
-    ``templates`` maps a constraint to the rule template it was bound
-    from, which constraints of one shape share, ``scope_domains`` maps it
-    to the domains of its scope, in scope order, and ``occurrences`` maps
-    a variable to its (constraint, scope position) pairs. Together they
-    say which rules a mutation can make applicable, and let rule checks
-    read the template's packed positions and bits, not names. ``agenda``
-    holds every rule that is applicable right now, and a rule enters it
-    only when all its conditions hold (:meth:`push_holding`).
+    ``domains`` maps a variable to its :class:`FiniteDomain`, watch list
+    included. ``templates`` maps a constraint to the rule template it was
+    bound from, which constraints of one shape share, and
+    ``scope_domains`` maps it to the domains of its scope, in scope order.
+    With the watch lists they say which rules a mutation can make
+    applicable, and let rule checks read the template's packed positions
+    and bits, not names. ``agenda`` holds every rule that is applicable
+    right now, and a rule enters it only when all its conditions hold
+    (:meth:`push_holding`).
 
     ``rules`` maps a constraint to its rules, which only rule dumps and
     verification read: :meth:`add_constraint` stores one
@@ -416,7 +416,6 @@ class Network:
         self.templates: dict[ConstraintId, RuleTemplate] = {}
         self.rules: dict[ConstraintId, BoundRules] = {}
         self.scope_domains: dict[ConstraintId, tuple[FiniteDomain, ...]] = {}
-        self.occurrences: dict[VariableId, list[tuple[ConstraintId, int]]] = {}
         self.agenda = Agenda()
         self.observations: dict[ObservationId, Observation] = {}
         self.firings: dict[FiringId, Firing] = {}
@@ -466,8 +465,8 @@ class Network:
         self.templates[cid] = rules
         self.rules[cid] = BoundRules(rules, cid, scope)
         self.scope_domains[cid] = scope_domains
-        for position, var in enumerate(scope):
-            self.occurrences.setdefault(var, []).append((cid, position))
+        for position, dom in enumerate(scope_domains):
+            dom.occurrences.append((cid, position))
         self.queue_rules(cid)
 
     def domain(self, variable: VariableId) -> FiniteDomain:
@@ -517,12 +516,13 @@ class Network:
     def snapshot(self) -> tuple:
         """Mark the trail, keeping what no event records.
 
-        That is the constraint count, the agenda, ``empty_order``, the next
-        firing id and the rng state.
+        That is the constraint and variable counts, the agenda,
+        ``empty_order``, the next firing id and the rng state.
         """
         return (
             len(self.events),
             len(self.constraints),
+            len(self.domains),
             self.agenda.copy(),
             list(self.empty_order),
             self.next_firing_id,
@@ -532,10 +532,10 @@ class Network:
     def rollback(self, mark: tuple) -> None:
         """Return to ``mark`` by inverting each event logged since, newest first.
 
-        Then each constraint added since is unregistered, newest first; no
-        event records a registration.
+        Then the constraints and variables added since are unregistered,
+        newest first; no event records a registration.
         """
-        count, constraint_count, agenda, empty_order, next_firing_id, rng_state = mark
+        count, constraint_count, domain_count, agenda, empty_order, next_firing_id, rng_state = mark
         for event in reversed(self.events[count:]):
             kind = event[0]
             if kind == "mask":
@@ -555,12 +555,12 @@ class Network:
                 self.constraints[event[1]].active = kind == "relax"
         del self.events[count:]
         while len(self.constraints) > constraint_count:
-            cid, constraint = self.constraints.popitem()
-            del self.templates[cid], self.rules[cid], self.scope_domains[cid]
-            for var in constraint.scope:
-                self.occurrences[var].pop()
-                if not self.occurrences[var]:
-                    del self.occurrences[var]
+            cid, _ = self.constraints.popitem()
+            del self.templates[cid], self.rules[cid]
+            for dom in self.scope_domains.pop(cid):
+                dom.occurrences.pop()
+        while len(self.domains) > domain_count:
+            self.domains.popitem()
         self.agenda = agenda.copy()
         self.empty_order = list(empty_order)
         self.next_firing_id = next_firing_id
@@ -569,10 +569,12 @@ class Network:
 
 
 def mask_value(network: Network, variable: VariableId, value: Value, cause: Cause) -> bool:
-    """Add one justification hiding ``value``; True if it was visible before."""
+    """Hide ``value`` under a ``cause`` that does not hide it yet; True if it was visible."""
     dom = network.domain(variable)
     if value not in dom.declared:
         raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
+    if cause in dom.mask.get(value, ()):
+        raise ValueError(f"{cause!r} already hides {variable}={value}")
     newly = dom.hide(value, cause)
     network.events.append(("mask", variable, value, cause))
     if newly:
@@ -586,7 +588,7 @@ def mask_value(network: Network, variable: VariableId, value: Value, cause: Caus
 
 
 def release(network: Network, variable: VariableId, value: Value, cause: Cause) -> list[FiringId]:
-    """Remove one justification added by ``cause``; return the firings it leaves unfounded.
+    """Withdraw a ``cause`` that hides ``value``; return the firings it leaves unfounded.
 
     A firing relies on every value its condition on ``variable`` excludes,
     and stays founded while each such value is hidden by an observation
@@ -594,7 +596,7 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
     active firing is founded, every mask rests on observations: firings
     that only hide each other's values form a cycle of self-support, and
     its oldest member is unfounded. A release checks this in the walk
-    over the variable's occurrences that queues rules: if the value
+    over the variable's watch list that queues rules: if the value
     became visible, the walk queues the rules whose conclusions exclude
     it, and unless an observation still hides it, the walk collects the
     active firings of the rules that the template's ``conditioned``
@@ -603,8 +605,7 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
     rollback hides and unhides directly, so undo never cascades.
     """
     dom = network.domain(variable)
-    ctr = dom.mask.get(value)
-    if ctr is None or ctr[cause] <= 0:
+    if cause not in dom.mask.get(value, ()):
         raise ValueError(f"no mask on {variable}={value} is justified by {cause!r}")
     network.events.append(("release", variable, value, cause))
     shown = dom.unhide(value, cause)
@@ -618,7 +619,7 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
         _queue_instantiated(network, dom)
     bit = dom.bit(value)
     unfounded = []
-    for cid, position in network.occurrences.get(variable, ()):
+    for cid, position in dom.occurrences:
         template = network.templates[cid]
         if shown:
             network.push_holding(cid, template.excluding[position].get(bit, ()))
@@ -634,7 +635,7 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
 def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
     """Queue the rules conditioned on ``dom``'s one value left whose other conditions hold."""
     bit = dom.visible_bits
-    for cid, position in network.occurrences.get(dom.variable, ()):
+    for cid, position in dom.occurrences:
         network.push_holding(cid, network.templates[cid].conditioned[position].get(bit, ()))
 
 

@@ -109,9 +109,7 @@ def fire_rule(network: Network, rule: RuleKey) -> FiringId | None:
     supports = []
     for position, bit in conditions:
         dom = doms[position]
-        causes: set[Cause] = set()
-        for ctr in dom.mask.values():
-            causes.update(ctr)
+        causes = set().union(*dom.mask.values())
         supports.append((dom.variable, dom.value(bit), tuple(sorted(causes, key=cause_key))))
     fid = network.next_firing_id
     network.next_firing_id += 1
@@ -156,9 +154,9 @@ def extract_conflict(network: Network, variable: VariableId) -> ConflictSet:
         for position, bit in network.templates[cid].packed[index - 1][0]:
             cdom = doms[position]
             held = cdom.value(bit)
-            for value, ctr in cdom.mask.items():
+            for value, causes in cdom.mask.items():
                 if value != held:
-                    stack.extend(ctr)
+                    stack.extend(causes)
     return ConflictSet(frozenset(constraints), frozenset(observations))
 
 

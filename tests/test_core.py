@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
 from itertools import product
@@ -82,13 +81,13 @@ def test_add_constraint_validates_scope_and_tuples():
 
 
 def indexes(net):
-    """Every index a registration writes: constraint and rule tables, the
-    (constraint, position) entries of each variable, the templates with
-    their tables, and the agenda."""
+    """Every index a registration writes: constraint and rule tables, each
+    variable's watch list of (constraint, position) entries, the templates
+    with their tables, and the agenda."""
     return (
         dict(net.constraints),
         dict(net.rules),
-        {var: list(entries) for var, entries in net.occurrences.items()},
+        {var: list(dom.occurrences) for var, dom in net.domains.items()},
         {
             cid: (t, deepcopy((t.rules, t.conditioned, t.excluding, t.unconditional)))
             for cid, t in net.templates.items()
@@ -130,7 +129,8 @@ def test_rule_indices_must_follow_their_positions():
     with pytest.raises(ValueError, match="has index 2, not 1"):
         net.add_constraint(n1, RuleSet("N1", shifted))
     assert net.constraints == net.rules == {}
-    assert net.templates == net.occurrences == {}
+    assert net.templates == {}
+    assert net.domains["A"].occurrences == net.domains["B"].occurrences == []
     assert len(net.agenda) == 0
     net.add_constraint(n1, RuleSet("N1", rules))
     assert net.rules["N1"] == rules
@@ -177,7 +177,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
     net.add_constraint(n1, template)
     assert net.rules["N1"] == generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)).rules
     assert net.templates["N1"] is template
-    assert net.occurrences == {"A": [("N1", 0)], "B": [("N1", 1)]}
+    assert indexes(net)[2] == {"A": [("N1", 0)], "B": [("N1", 1)], "C": [], "T": []}
     before = indexes(net)
     for bad, message in (
         (ExtensionalConstraint("N1", "not", ("B", "C"), table), "already declared"),
@@ -193,7 +193,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
     n2 = ExtensionalConstraint("N2", "not", ("B", "C"), frozenset(table))
     net.add_constraint(n2, template)
     assert net.rules["N2"] == generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)).rules
-    assert net.occurrences["B"] == [("N1", 1), ("N2", 0)]
+    assert net.domains["B"].occurrences == [("N1", 1), ("N2", 0)]
     # a rule set names rule i of K "K.R<i>", so no bound id can collide
     k = ExtensionalConstraint("K", "not", ("A", "C"), table)
     named = tuple(
@@ -222,24 +222,31 @@ def test_a_new_constraint_queues_only_rules_whose_conditions_hold():
     assert net.agenda.queued == {("N2", held.index), ("F", 1)}
 
 
-def test_mask_is_counted_per_justification():
+def test_a_cause_masks_a_value_at_most_once():
+    """The causes hiding a value form a set: repeating a (variable, value,
+    cause) that already hides it raises before anything is logged, so
+    each release undoes exactly one mask."""
     net = bool_net("A")
+    dom = net.domain("A")
     assert mask_value(net, "A", "true", "M1") is True
     assert mask_value(net, "A", "true", "M2") is False
-    assert mask_value(net, "A", "true", "M1") is False
-    assert net.domains["A"].mask["true"] == Counter({"M1": 2, "M2": 1})
-    dom = net.domain("A")
+    events, bits = list(net.events), dom.visible_bits
+    with pytest.raises(ValueError, match="'M1' already hides A=true"):
+        mask_value(net, "A", "true", "M1")
+    assert net.events == events and dom.visible_bits == bits
+    assert dom.mask == {"true": {"M1", "M2"}}
     release(net, "A", "true", "M1")
     assert dom.visible() == ("false",)
     release(net, "A", "true", "M2")
-    assert dom.visible() == ("false",)
-    release(net, "A", "true", "M1")
     assert dom.visible() == ("false", "true")
+    # a released cause may hide the value again
+    assert mask_value(net, "A", "true", "M1") is True
+    assert dom.mask == {"true": {"M1"}}
 
 
 def test_release_returns_the_firings_it_leaves_unfounded_sorted():
     """V0 feeds N2 (registered first) and N1, and N1's output feeds N3.
-    N1 fires first, so V0's occurrences meet firing 2 before firing 1.
+    N1 fires first, so V0's watch list meets firing 2 before firing 1.
     Releasing the pin's mask on V0=false returns both, sorted, and leaves
     N3's firing, which rests on V1, to the caller's cascade; releasing a
     value that an observation still hides returns nothing."""
@@ -286,8 +293,8 @@ def test_exclude_masks_only_visible_values():
     assert claimed == []
     assert net.empty_order == ["A"]
     # the earlier mask is untouched; only the new one carries cause 7
-    assert net.domains["A"].mask["true"] == Counter({"M1": 1})
-    assert net.domains["A"].mask["false"] == Counter({7: 1})
+    assert net.domains["A"].mask["true"] == {"M1"}
+    assert net.domains["A"].mask["false"] == {7}
 
 
 def test_exclude_can_claim_already_masked_values():
@@ -296,7 +303,7 @@ def test_exclude_can_claim_already_masked_values():
     hidden, claimed = exclude(net, net.domains["A"], 0b11, 7)
     assert hidden == [("A", "false")]
     assert claimed == [("A", "true")]
-    assert net.domains["A"].mask["true"] == Counter({"M1": 1, 7: 1})
+    assert net.domains["A"].mask["true"] == {"M1", 7}
     # the claim holds the exclusion once the original cause is gone
     release(net, "A", "true", "M1")
     assert not net.domains["A"].is_visible("true")
@@ -321,7 +328,7 @@ def test_observation_pin_masks_even_masked_values():
     hidden, claimed = exclude(net, net.domains["A"], ~net.domains["A"].bit("true"), "M1")
     assert hidden == []
     assert claimed == [("A", "false")]
-    assert net.domains["A"].mask["false"] == Counter({9: 1, "M1": 1})
+    assert net.domains["A"].mask["false"] == {9, "M1"}
     release(net, "A", "false", 9)
     # the pin keeps holding the value hidden
     assert net.domain("A").visible() == ("true",)
@@ -367,7 +374,7 @@ def test_snapshot_rollback_restores_everything():
     assert net.domain("B").visible() == ("false", "true")
     assert net.empty_order == []
     assert len(net.events) < events_before
-    assert net.domains["A"].mask["true"] == Counter({"M1": 1})
+    assert net.domains["A"].mask["true"] == {"M1"}
 
 
 def test_rollback_unregisters_the_constraints_added_since_the_mark():
@@ -389,6 +396,25 @@ def test_rollback_unregisters_the_constraints_added_since_the_mark():
     assert net.domain("C").visible() == ("true",)
 
 
+def test_rollback_forgets_the_variables_declared_since_the_mark():
+    """No event records a declaration either, so the mark counts variables.
+    The constraints on a new variable go first, and its domain takes its
+    watch list with it; the old variables' watch lists lose their entries."""
+    net = bool_net("A")
+    snap = net.snapshot()
+    net.add_variable("B")
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    net.add_constraint(n1, generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)))
+    assert_observation(net, Observation("M1", "B", "true"))
+    net.rollback(snap)
+    assert list(net.domains) == ["A"]
+    assert net.constraints == net.templates == net.scope_domains == net.rules == {}
+    assert net.events == [] and net.observations == {} and net.firings == {}
+    net.add_variable("B", ("x", "y"))
+    assert indexes(net)[2] == {"A": [], "B": []}
+    assert net.domain("A").visible() == BOOL_DOMAIN
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10**6))
 def test_mask_release_conservation(seed):
@@ -403,13 +429,24 @@ def test_mask_release_conservation(seed):
             var = rng.choice(("A", "B", "C"))
             value = rng.choice(BOOL_DOMAIN)
             cause = rng.randrange(5)
-            mask_value(net, var, value, cause)
-            live.append((var, value, cause))
+            if (var, value, cause) not in live:
+                mask_value(net, var, value, cause)
+                live.append((var, value, cause))
+                continue
+            # a cause hides a value at most once; the repeat changes nothing
+            dom = net.domains[var]
+            state = (list(net.events), list(net.empty_order), dom.visible_bits)
+            masks = {v: set(causes) for v, causes in dom.mask.items()}
+            with pytest.raises(ValueError, match="already hides"):
+                mask_value(net, var, value, cause)
+            assert (list(net.events), list(net.empty_order), dom.visible_bits) == state
+            assert dom.mask == masks
+    masked = {(d.variable, v, c) for d in net.domains.values() for v, cs in d.mask.items() for c in cs}
+    assert masked == set(live)
     for name in ("A", "B", "C"):
         dom = net.domains[name]
         # visible and masked partition the declared values
         assert set(dom.visible()) | set(dom.mask) == set(dom.declared)
         assert set(dom.visible()) & set(dom.mask) == set()
-        for ctr in dom.mask.values():
-            assert ctr and all(count > 0 for count in ctr.values())
+        assert all(dom.mask.values())
         assert (dom.visible_count() == 0) == (name in net.empty_order)

@@ -114,7 +114,7 @@ def network_state(net):
     """Everything a diagnosis may touch and must leave as it found it."""
     return (
         {
-            var: {value: dict(causes) for value, causes in dom.mask.items()}
+            var: {value: set(causes) for value, causes in dom.mask.items()}
             for var, dom in net.domains.items()
         },
         dict(net.firings),

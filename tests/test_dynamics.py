@@ -1,6 +1,5 @@
 import hashlib
 import random
-from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -110,7 +109,7 @@ def test_cancel_spares_watchers_still_supported_by_an_observation():
     b_firing = net.active_firing["N1", 1]
     assert_observation(net, Observation("M2", "B", "true"))
     c_firing = net.active_firing["N2", 2]
-    assert net.domains["B"].mask["false"]["M2"] == 1
+    assert "M2" in net.domains["B"].mask["false"]
     record = cancel_firing(net, b_firing)
     # B stays instantiated through M2, so the downstream firing survives
     assert record.cancelled == [b_firing]
@@ -165,7 +164,7 @@ def test_a_younger_claim_withdrawn_spares_a_firing_between_it_and_the_first_hide
     assert_observation(net, Observation("M2", "Y", "true"))
     assert [net.firings[fid].rule[0] for fid in (1, 2, 3)] == ["N1", "N2", "A1"]
     assert net.firings[3].effects == (("D", "false"), ("B", "false"))
-    assert net.domains["B"].mask["false"] == Counter({1: 1, 3: 1})
+    assert net.domains["B"].mask["false"] == {1, 3}
     n2 = net.firings[2].rule
     mark = len(net.events)
     out = relax(net, "A1")
@@ -216,11 +215,11 @@ def test_cancel_spares_exclusions_claimed_by_a_later_firing():
     # G1.R3 concludes on V1 and V3; V3=true was already hidden by N1's firing
     assert net.firings[2].rule == ("G1", 3)
     assert net.firings[2].effects == (("V1", "true"), ("V3", "true"))
-    assert net.domains["V3"].mask["true"] == Counter({1: 1, 2: 1})
+    assert net.domains["V3"].mask["true"] == {1, 2}
     relax(net, "N1")
     # the claim keeps V3 pruned after its first justification is withdrawn
     assert net.domains["V3"].visible() == ("false",)
-    assert net.domains["V3"].mask["true"] == Counter({2: 1})
+    assert net.domains["V3"].mask["true"] == {2}
     assert net.active_firing == {("G1", 3): 2}
 
 

@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_compile(args) -> int:
     spec = parse_network(_read(args.network))
     network = build_network(spec, assert_observations=False)
-    total = sum(len(template.rules) for template in network.templates.values())
+    total = sum(len(c.template.rules) for c in network.constraints.values())
     print(f"compiled {len(network.constraints)} constraints, {total} rules")
     if args.dump_rules:
         for cid, constraint in network.constraints.items():

@@ -1,8 +1,9 @@
 """Core vocabulary for dynamic constraint networks.
 
-A network owns variables with immutable declared domains, extensional
-constraints with their compiled propagation rules, observations, and a
-firing trace that keeps one record per rule application, which is also
+A network owns variables, each one record of its immutable declared
+values, masks and watch list; extensional constraints, each one record
+of its relation, compiled rule template and scope domains; observations;
+and a firing trace that keeps one record per rule application, which is also
 its ``fire`` event. Inside the network a rule is its key, the pair
 (constraint id, 1-based rule index), read in the packed form of its
 constraint's template. Only rule dumps and verification read rule
@@ -125,7 +126,12 @@ class FiniteDomain:
 
 @dataclass(slots=True)
 class ExtensionalConstraint:
-    """An n-ary relation listed by its allowed tuples."""
+    """An n-ary relation listed by its allowed tuples, and its record in a network.
+
+    ``Network.add_constraint`` binds it to one network at a time: it sets
+    ``template`` and ``domains``, the scope's domains in scope order, once
+    every check passed, and ``Network.rollback`` clears them.
+    """
 
     id: ConstraintId
     label: str
@@ -133,6 +139,8 @@ class ExtensionalConstraint:
     allowed: frozenset[tuple[Value, ...]]
     active: bool = True
     relaxable: bool = True
+    template: RuleTemplate | None = field(default=None, init=False, repr=False, compare=False)
+    domains: tuple[FiniteDomain, ...] = field(default=(), init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,8 @@ class RuleTemplate:
     rules that test bit b at position p and whose conclusions exclude it
     there; ``unconditional`` those that test nothing. Rule i of ``owner``
     must be named ``"{owner}.R{i}"``, so ids are unique by construction.
-
-    Nothing in the engine reads renamed rules; rule dumps and
-    verification read them through each constraint's :class:`BoundRules`
-    in ``Network.rules``. ``report`` is where ``verify_rules`` keeps its one
-    check of the template's own rules, which holds for every constraint
-    of the shape.
+    ``report`` is where ``verify_rules`` keeps its one check of the
+    template's own rules, which holds for every constraint of the shape.
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
@@ -240,7 +244,7 @@ class BoundRules(Sequence):
     ``Network.add_constraint`` makes one per constraint, which only keeps
     its three references. ``len`` builds nothing, so ``verify_rules`` can
     return a passing shape's kept report without a rule object. Indexing,
-    iteration, ``==``, ``+`` and ``repr`` build the renamed rules once and
+    iteration, ``==`` and ``repr`` build the renamed rules once and
     keep them; the template's owner reads ``template.rules`` themselves.
     """
 
@@ -283,9 +287,6 @@ class BoundRules(Sequence):
 
     def __eq__(self, other):
         return self._renamed() == (other._renamed() if isinstance(other, BoundRules) else other)
-
-    def __add__(self, other):
-        return self._renamed() + other
 
     def __repr__(self) -> str:
         return repr(self._renamed())
@@ -388,20 +389,18 @@ class Network:
     constraint; ``rng`` switches rule selection to a randomized order (a
     test mode for exercising confluence).
 
-    ``domains`` maps a variable to its :class:`FiniteDomain`, watch list
-    included. ``templates`` maps a constraint to the rule template it was
-    bound from, which constraints of one shape share, and
-    ``scope_domains`` maps it to the domains of its scope, in scope order.
-    With the watch lists they say which rules a mutation can make
-    applicable, and let rule checks read the template's packed positions
-    and bits, not names. ``agenda`` holds every rule that is applicable
-    right now, and a rule enters it only when all its conditions hold
-    (:meth:`push_holding`).
+    ``domains`` and ``constraints`` map names to the variable and
+    constraint records. A constraint carries its scope domains and the
+    rule template that constraints of its shape share; a watch list holds
+    (constraint id, position) pairs, so no domain refers back to its
+    constraints, which would make every network a reference cycle. They
+    say which rules a mutation can make applicable, and let rule checks
+    read packed positions and bits, not names. ``agenda`` holds every
+    applicable rule, and a rule enters it only when all its conditions
+    hold (:meth:`push_holding`).
 
-    ``rules`` maps a constraint to its rules, which only rule dumps and
-    verification read: :meth:`add_constraint` stores one
-    :class:`BoundRules` per constraint, which renames its template's
-    rules onto the constraint's scope only when one is read. ``firings``
+    ``rules`` maps a constraint to its :class:`BoundRules`, which only
+    rule dumps and verification read. ``firings``
     keeps every firing, cancelled or not, and ``active_firing`` maps a
     rule's key to its one active firing; the watch lists and
     ``active_firing`` together say which active firings test a
@@ -413,9 +412,7 @@ class Network:
     def __init__(self, *, short_circuit: bool = False, rng=None):
         self.domains: dict[VariableId, FiniteDomain] = {}
         self.constraints: dict[ConstraintId, ExtensionalConstraint] = {}
-        self.templates: dict[ConstraintId, RuleTemplate] = {}
         self.rules: dict[ConstraintId, BoundRules] = {}
-        self.scope_domains: dict[ConstraintId, tuple[FiniteDomain, ...]] = {}
         self.agenda = Agenda()
         self.observations: dict[ObservationId, Observation] = {}
         self.firings: dict[FiringId, Firing] = {}
@@ -443,29 +440,30 @@ class Network:
 
         ``rules`` is the constraint's own rule set, validated here, or a
         template of its shape, validated when it was made. A rejected call
-        raises ``ValueError`` and leaves the network as it was.
+        raises ``ValueError`` and leaves the network and ``constraint`` as they were.
         """
         cid, scope = constraint.id, constraint.scope
         if cid in self.constraints:
             raise ValueError(f"constraint {cid!r} already declared")
+        if constraint.template is not None:
+            raise ValueError(f"constraint {cid!r} is already bound to a network")
         if len(set(scope)) != len(scope):
             raise ValueError(f"constraint {cid!r} repeats a scope variable")
         for var in scope:
             if var not in self.domains:
                 raise ValueError(f"constraint {cid!r} uses undeclared variable {var!r}")
-        scope_domains = tuple(self.domains[var] for var in scope)
-        domains = tuple(dom.declared for dom in scope_domains)
+        doms = tuple(self.domains[var] for var in scope)
+        declared = tuple(dom.declared for dom in doms)
         if isinstance(rules, RuleSet):
             if rules.owner != cid:
                 raise ValueError(f"rule set for {rules.owner!r} attached to {cid!r}")
-            rules = RuleTemplate(constraint, domains, rules.rules)
-        elif rules.domains != domains or rules.allowed != constraint.allowed:
+            rules = RuleTemplate(constraint, declared, rules.rules)
+        elif rules.domains != declared or rules.allowed != constraint.allowed:
             raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
+        constraint.template, constraint.domains = rules, doms
         self.constraints[cid] = constraint
-        self.templates[cid] = rules
         self.rules[cid] = BoundRules(rules, cid, scope)
-        self.scope_domains[cid] = scope_domains
-        for position, dom in enumerate(scope_domains):
+        for position, dom in enumerate(doms):
             dom.occurrences.append((cid, position))
         self.queue_rules(cid)
 
@@ -489,22 +487,22 @@ class Network:
         rule is queued, and only rules whose conditions hold are. A fresh
         constraint queues only its unconditional rules.
         """
-        template, doms = self.templates[constraint_id], self.scope_domains[constraint_id]
-        ready = list(template.unconditional)
-        for position, dom in enumerate(doms):
-            ready += template.conditioned[position].get(dom.visible_bits, ())
-        self.push_holding(constraint_id, ready)
+        constraint = self.constraints[constraint_id]
+        ready = list(constraint.template.unconditional)
+        for position, dom in enumerate(constraint.domains):
+            ready += constraint.template.conditioned[position].get(dom.visible_bits, ())
+        self.push_holding(constraint, ready)
 
-    def push_holding(self, constraint_id: ConstraintId, indices: Iterable[int]) -> None:
-        """Queue the rules of ``constraint_id`` at ``indices`` whose conditions all hold.
+    def push_holding(self, constraint: ExtensionalConstraint, indices: Iterable[int]) -> None:
+        """Queue the rules of ``constraint`` at ``indices`` whose conditions all hold.
 
         The one way a mutation queues rules. A watch triggers on one
         literal, and the rule joins the queue only if the rest of it holds
         too; it is queued again when its last condition comes to hold.
         """
-        doms, packed = self.scope_domains[constraint_id], self.templates[constraint_id].packed
+        doms, packed = constraint.domains, constraint.template.packed
         self.agenda.push(
-            constraint_id, [i for i in indices if conditions_hold(doms, packed[i - 1][0])]
+            constraint.id, [i for i in indices if conditions_hold(doms, packed[i - 1][0])]
         )
 
     def first_empty(self) -> VariableId | None:
@@ -532,8 +530,8 @@ class Network:
     def rollback(self, mark: tuple) -> None:
         """Return to ``mark`` by inverting each event logged since, newest first.
 
-        Then the constraints and variables added since are unregistered,
-        newest first; no event records a registration.
+        Then the constraints and variables added since are unregistered
+        (constraints unbound), newest first; no event records a registration.
         """
         count, constraint_count, domain_count, agenda, empty_order, next_firing_id, rng_state = mark
         for event in reversed(self.events[count:]):
@@ -555,10 +553,11 @@ class Network:
                 self.constraints[event[1]].active = kind == "relax"
         del self.events[count:]
         while len(self.constraints) > constraint_count:
-            cid, _ = self.constraints.popitem()
-            del self.templates[cid], self.rules[cid]
-            for dom in self.scope_domains.pop(cid):
+            cid, constraint = self.constraints.popitem()
+            del self.rules[cid]
+            for dom in constraint.domains:
                 dom.occurrences.pop()
+            constraint.template, constraint.domains = None, ()
         while len(self.domains) > domain_count:
             self.domains.popitem()
         self.agenda = agenda.copy()
@@ -620,10 +619,10 @@ def release(network: Network, variable: VariableId, value: Value, cause: Cause) 
     bit = dom.bit(value)
     unfounded = []
     for cid, position in dom.occurrences:
-        template = network.templates[cid]
+        constraint = network.constraints[cid]
         if shown:
-            network.push_holding(cid, template.excluding[position].get(bit, ()))
-        for tested, indices in template.conditioned[position].items():
+            network.push_holding(constraint, constraint.template.excluding[position].get(bit, ()))
+        for tested, indices in constraint.template.conditioned[position].items():
             if tested != bit:
                 for i in indices:
                     fid = network.active_firing.get((cid, i))
@@ -636,7 +635,8 @@ def _queue_instantiated(network: Network, dom: FiniteDomain) -> None:
     """Queue the rules conditioned on ``dom``'s one value left whose other conditions hold."""
     bit = dom.visible_bits
     for cid, position in dom.occurrences:
-        network.push_holding(cid, network.templates[cid].conditioned[position].get(bit, ()))
+        constraint = network.constraints[cid]
+        network.push_holding(constraint, constraint.template.conditioned[position].get(bit, ()))
 
 
 def exclude(

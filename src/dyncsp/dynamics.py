@@ -77,7 +77,7 @@ def set_active(network: Network, constraint_id: ConstraintId, active: bool) -> N
     if active:
         network.queue_rules(constraint_id)
         return
-    firings, count = network.active_firing, len(network.templates[constraint_id].packed)
+    firings, count = network.active_firing, len(constraint.template.packed)
     keys = [(constraint_id, i) for i in range(1, count + 1)]
     cancel_firing(network, *(firings[key] for key in keys if key in firings))
 

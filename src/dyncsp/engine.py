@@ -60,21 +60,21 @@ def _would_shrink(doms: tuple[FiniteDomain, ...], exclusions) -> bool:
 
 
 def _packed(network: Network, rule: RuleKey):
-    """The scope domains of ``rule``'s constraint and the rule's packed form.
+    """``rule``'s constraint, its scope domains and the rule's packed form.
 
     Raises ``ValueError`` for a key that names no rule of the network.
     """
     cid, index = rule
-    template = network.templates.get(cid)
-    if template is None or not 1 <= index <= len(template.packed):
+    constraint = network.constraints.get(cid)
+    if constraint is None or not 1 <= index <= len(constraint.template.packed):
         raise ValueError(f"unknown rule '{cid}.R{index}'")
-    return network.scope_domains[cid], template.packed[index - 1]
+    return constraint, constraint.domains, constraint.template.packed[index - 1]
 
 
 def rule_applicable(network: Network, rule: RuleKey) -> bool:
     """True iff firing the rule keyed ``rule`` right now would be legal and useful."""
-    doms, (conditions, exclusions) = _packed(network, rule)
-    if not network.constraints[rule[0]].active:
+    constraint, doms, (conditions, exclusions) = _packed(network, rule)
+    if not constraint.active:
         return False
     if rule in network.active_firing:
         return False
@@ -94,7 +94,7 @@ def fire_rule(network: Network, rule: RuleKey) -> FiringId | None:
     firing is its own ``fire`` event and keeps ``rule`` itself as its
     key, so a firing popped from the agenda makes no new key.
     """
-    doms, (conditions, exclusions) = _packed(network, rule)
+    _, doms, (conditions, exclusions) = _packed(network, rule)
     cid, index = rule
     if rule in network.active_firing:
         raise ValueError(f"rule '{cid}.R{index}' already has an active firing")
@@ -150,9 +150,9 @@ def extract_conflict(network: Network, variable: VariableId) -> ConflictSet:
         seen.add(cause)
         cid, index = network.firings[cause].rule
         constraints.add(cid)
-        doms = network.scope_domains[cid]
-        for position, bit in network.templates[cid].packed[index - 1][0]:
-            cdom = doms[position]
+        constraint = network.constraints[cid]
+        for position, bit in constraint.template.packed[index - 1][0]:
+            cdom = constraint.domains[position]
             held = cdom.value(bit)
             for value, causes in cdom.mask.items():
                 if value != held:

@@ -52,14 +52,14 @@ def build_network(
     network = Network(short_circuit=short_circuit, rng=rng)
     for v in spec.variables:
         network.add_variable(v.name, v.domain)
-    templates: dict = {}  # shape -> its rule template
+    shapes: dict = {}  # shape -> its rule template
     for constraint in _constraints(spec):
         scope = constraint.scope
         domains = tuple(network.domains[v].declared for v in scope)
-        rules = templates.get((constraint.allowed, domains))
+        rules = shapes.get((constraint.allowed, domains))
         if rules is None:
             compiled = generate(constraint, dict(zip(scope, domains))).rules
-            rules = templates[constraint.allowed, domains] = RuleTemplate(constraint, domains, compiled)
+            rules = shapes[constraint.allowed, domains] = RuleTemplate(constraint, domains, compiled)
         network.add_constraint(constraint, rules)
     if assert_observations:
         for o in spec.observations:

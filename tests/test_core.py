@@ -78,19 +78,23 @@ def test_add_constraint_validates_scope_and_tuples():
     with pytest.raises(ValueError, match="rule set for 'C1' attached to 'C7'"):
         net.add_constraint(other, RuleSet("C1", ()))
     assert set(net.constraints) == {"C1"}
+    for rejected in (bad_scope, bad_var, bad_value, empty, short, other):
+        assert rejected.template is None and rejected.domains == (), rejected.id
+    assert all(dom is net.domains[var] for dom, var in zip(good.domains, "AB"))
 
 
 def indexes(net):
     """Every index a registration writes: constraint and rule tables, each
-    variable's watch list of (constraint, position) entries, the templates
-    with their tables, and the agenda."""
+    variable's watch list of (constraint, position) entries, each
+    constraint's template with its tables, and the agenda."""
+    templates = {cid: c.template for cid, c in net.constraints.items()}
     return (
         dict(net.constraints),
         dict(net.rules),
         {var: list(dom.occurrences) for var, dom in net.domains.items()},
         {
             cid: (t, deepcopy((t.rules, t.conditioned, t.excluding, t.unconditional)))
-            for cid, t in net.templates.items()
+            for cid, t in templates.items()
         },
         list(net.agenda.heap),
         set(net.agenda.queued),
@@ -117,6 +121,7 @@ def test_rejected_rule_set_leaves_no_trace():
             net.add_constraint(n2, RuleSet("N2", bad))
         assert set(net.constraints) == set(net.rules) == {"N1"}
         assert indexes(net) == before
+        assert n2.template is None and n2.domains == ()
     net.add_constraint(n2, RuleSet("N2", rules))
     assert net.rules["N2"] == rules
 
@@ -129,7 +134,7 @@ def test_rule_indices_must_follow_their_positions():
     with pytest.raises(ValueError, match="has index 2, not 1"):
         net.add_constraint(n1, RuleSet("N1", shifted))
     assert net.constraints == net.rules == {}
-    assert net.templates == {}
+    assert n1.template is None and n1.domains == ()
     assert net.domains["A"].occurrences == net.domains["B"].occurrences == []
     assert len(net.agenda) == 0
     net.add_constraint(n1, RuleSet("N1", rules))
@@ -176,7 +181,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
     n1 = ExtensionalConstraint("N1", "not", ("A", "B"), table)
     net.add_constraint(n1, template)
     assert net.rules["N1"] == generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)).rules
-    assert net.templates["N1"] is template
+    assert net.constraints["N1"].template is template
     assert indexes(net)[2] == {"A": [("N1", 0)], "B": [("N1", 1)], "C": [], "T": []}
     before = indexes(net)
     for bad, message in (
@@ -189,6 +194,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
         with pytest.raises(ValueError, match=message):
             net.add_constraint(bad, template)
         assert indexes(net) == before
+        assert bad.template is None and bad.domains == ()
     # an equal table that is another object binds too
     n2 = ExtensionalConstraint("N2", "not", ("B", "C"), frozenset(table))
     net.add_constraint(n2, template)
@@ -408,11 +414,40 @@ def test_rollback_forgets_the_variables_declared_since_the_mark():
     assert_observation(net, Observation("M1", "B", "true"))
     net.rollback(snap)
     assert list(net.domains) == ["A"]
-    assert net.constraints == net.templates == net.scope_domains == net.rules == {}
+    assert net.constraints == net.rules == {}
+    assert n1.template is None and n1.domains == ()
     assert net.events == [] and net.observations == {} and net.firings == {}
     net.add_variable("B", ("x", "y"))
     assert indexes(net)[2] == {"A": [], "B": []}
     assert net.domain("A").visible() == BOOL_DOMAIN
+
+
+def test_a_constraint_is_bound_to_one_network_at_a_time():
+    """A registered constraint carries its template and its scope domains,
+    so registering the same object in a second network would re-point the
+    first network's scope domains; it raises and changes neither. Rolling
+    the first network back past the registration unbinds the object, which
+    then registers again."""
+    first, second = bool_net("A", "B"), bool_net("A", "B")
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    rules = generate(n1, dict.fromkeys("AB", BOOL_DOMAIN))
+    snap = first.snapshot()
+    first.add_constraint(n1, rules)
+    template, before = n1.template, indexes(second)
+    with pytest.raises(ValueError, match="constraint 'N1' is already bound to a network"):
+        second.add_constraint(n1, rules)
+    assert indexes(second) == before
+    assert n1.template is template
+    assert all(dom is first.domains[var] for dom, var in zip(n1.domains, "AB"))
+    assert assert_observation(first, Observation("M1", "A", "true")).status == "fixpoint"
+    assert first.domain("B").visible() == ("false",)
+    first.rollback(snap)
+    assert n1.template is None and n1.domains == ()
+    second.add_constraint(n1, rules)
+    assert all(dom is second.domains[var] for dom, var in zip(n1.domains, "AB"))
+    assert assert_observation(second, Observation("M1", "B", "true")).status == "fixpoint"
+    assert second.domain("A").visible() == ("false",)
+    assert first.domain("A").visible() == BOOL_DOMAIN and first.constraints == {}
 
 
 @settings(deadline=None, max_examples=60)

@@ -24,7 +24,7 @@ from dyncsp import (
     run_script,
 )
 from dyncsp import runner
-from dyncsp.core import PropagationRule
+from dyncsp.core import FiniteDomain, Network, PropagationRule, RuleTemplate
 
 from generators import (
     faulty_layered_circuit,
@@ -325,18 +325,32 @@ def test_a_gate_and_a_table_of_its_truth_table_share_one_compile(monkeypatch):
 
 def test_a_network_is_freed_without_the_cycle_collector():
     """A network whose rules were all read and which ran a diagnosis forms
-    no reference cycle: its rules hold the network's dicts, not the
-    network, so dropping it frees it at once."""
+    no reference cycle, so dropping it frees it at once, with every
+    variable and constraint record and every template. A constraint refers
+    to its template and scope domains, but a watch list names constraints
+    by id; were it to hold the records, every network would be a cycle
+    left for the collector. The records are slotted dataclasses, which
+    take no weak reference, so the objects the collector tracks are
+    counted by type instead."""
+    kinds = (Network, ExtensionalConstraint, FiniteDomain, RuleTemplate)
+
+    def live():
+        counts = Counter(type(obj) for obj in gc.get_objects() if isinstance(obj, kinds))
+        return {kind.__name__: counts[kind] for kind in kinds}
+
     spec, _ = faulty_layered_circuit(3, 5, 40, 8, 2)
     gc.collect()
     gc.disable()
     try:
+        before = live()
         net = build_network(spec)
         assert net.first_empty() is not None
-        assert all(len(net.rules[cid]) == len(net.templates[cid].rules) for cid in net.rules)
+        assert all(len(net.rules[cid]) == len(c.template.rules) for cid, c in net.constraints.items())
         assert diagnose(net, 2)
+        assert live()["FiniteDomain"] == before["FiniteDomain"] + len(net.domains)
         ref = weakref.ref(net)
         del net
         assert ref() is None
+        assert live() == before
     finally:
         gc.enable()

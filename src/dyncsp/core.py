@@ -128,9 +128,8 @@ class FiniteDomain:
 class ExtensionalConstraint:
     """An n-ary relation listed by its allowed tuples, and its record in a network.
 
-    ``Network.add_constraint`` binds it to one network at a time: it sets
-    ``template`` and ``domains``, the scope's domains in scope order, once
-    every check passed, and ``Network.rollback`` clears them.
+    ``Network.add_constraint`` registers its own copy, whose ``template``
+    and ``domains`` (the scope's domains in scope order) it sets.
     """
 
     id: ConstraintId
@@ -439,14 +438,14 @@ class Network:
         """Register a constraint with its rules, checking everything first.
 
         ``rules`` is the constraint's own rule set, validated here, or a
-        template of its shape, validated when it was made. A rejected call
-        raises ``ValueError`` and leaves the network and ``constraint`` as they were.
+        template of its shape, validated when it was made. The network keeps its
+        own copy of ``constraint``; a rejected call raises ``ValueError`` and changes nothing.
         """
         cid, scope = constraint.id, constraint.scope
+        if not isinstance(cid, str):
+            raise ValueError(f"constraint id {cid!r} is not a string")
         if cid in self.constraints:
             raise ValueError(f"constraint {cid!r} already declared")
-        if constraint.template is not None:
-            raise ValueError(f"constraint {cid!r} is already bound to a network")
         if len(set(scope)) != len(scope):
             raise ValueError(f"constraint {cid!r} repeats a scope variable")
         for var in scope:
@@ -460,8 +459,11 @@ class Network:
             rules = RuleTemplate(constraint, declared, rules.rules)
         elif rules.domains != declared or rules.allowed != constraint.allowed:
             raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
-        constraint.template, constraint.domains = rules, doms
-        self.constraints[cid] = constraint
+        record = ExtensionalConstraint(
+            cid, constraint.label, scope, constraint.allowed, constraint.active, constraint.relaxable
+        )
+        record.template, record.domains = rules, doms
+        self.constraints[cid] = record
         self.rules[cid] = BoundRules(rules, cid, scope)
         for position, dom in enumerate(doms):
             dom.occurrences.append((cid, position))
@@ -530,8 +532,8 @@ class Network:
     def rollback(self, mark: tuple) -> None:
         """Return to ``mark`` by inverting each event logged since, newest first.
 
-        Then the constraints and variables added since are unregistered
-        (constraints unbound), newest first; no event records a registration.
+        Then the constraints and variables added since are unregistered,
+        newest first; no event records a registration.
         """
         count, constraint_count, domain_count, agenda, empty_order, next_firing_id, rng_state = mark
         for event in reversed(self.events[count:]):
@@ -557,7 +559,6 @@ class Network:
             del self.rules[cid]
             for dom in constraint.domains:
                 dom.occurrences.pop()
-            constraint.template, constraint.domains = None, ()
         while len(self.domains) > domain_count:
             self.domains.popitem()
         self.agenda = agenda.copy()

@@ -210,21 +210,23 @@ def propagate(network: Network) -> PropagationOutcome:
 
 
 def assert_observation(network: Network, observation: Observation) -> PropagationOutcome:
-    """Register an observation, pin its variable, and propagate.
+    """Register an active copy of ``observation``, pin its variable, and propagate.
 
     The pin masks every other declared value, even values other causes
     already hide, so it stays in force if those causes are withdrawn. A pin
     that contradicts the current domain is itself the conflict; it is
     reported, not raised, and names every justification involved. A
     rejected observation raises ``ValueError`` and leaves the network as it
-    was.
+    was. The caller's ``observation`` is never written to.
     """
     oid, variable, value = observation.id, observation.variable, observation.value
+    if not isinstance(oid, str):
+        raise ValueError(f"observation id {oid!r} is not a string")
     if oid in network.observations:
         raise ValueError(f"observation id {oid!r} already used")
     if value not in network.domain(variable).declared:
         raise ValueError(f"value {value!r} is outside the domain of {variable!r}")
-    network.observations[oid] = observation
+    network.observations[oid] = Observation(oid, variable, value)
     network.events.append(("observe", oid, variable, value))
     dom = network.domains[variable]
     exclude(network, dom, ~dom.bit(value), oid)  # every other declared value

@@ -10,6 +10,7 @@ import pytest
 
 import dyncsp
 from dyncsp.cli import main
+from dyncsp.core import RuleSet
 
 from conftest import FIXTURES
 
@@ -169,6 +170,23 @@ def test_verify_reports_every_criterion(capsys):
     assert len(lines) == 4
     for cid, line in zip(("O1", "O2", "A1", "O3"), lines):
         assert line == f"{cid}: cr1=pass cr2=pass cr3=pass cr4=pass"
+
+
+def test_verify_fails_and_prints_each_witness_when_rules_are_missing(monkeypatch, capsys):
+    """Dropping the last rule of every shape leaves each circuit0 constraint
+    incomplete: verify prints its cr1 witness and exits 1."""
+    generate = dyncsp.runner.generate
+
+    def short(constraint, declared):
+        return RuleSet(constraint.id, generate(constraint, declared).rules[:-1])
+
+    monkeypatch.setattr(dyncsp.runner, "generate", short)
+    assert main(["verify", CIRCUIT0]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    for cid, line, witness in zip(("O1", "O2", "A1", "O3"), lines[::2], lines[1::2]):
+        assert line == f"{cid}: cr1=FAIL cr2=pass cr3=pass cr4=pass"
+        assert witness.startswith("  cr1 witness: {'start': ")
 
 
 def test_missing_file_exits_with_a_usage_error(capsys):

@@ -647,7 +647,7 @@ def test_a_damaged_shared_template_fails_with_each_constraints_own_witnesses():
     # R4 reads A=true AND B=true THEN C in {true}; make it remove the supported value
     damaged = rules[:3] + (PropagationRule("X.R4", "X", 4, rules[3].conditions, (("C", ("false",)),)),) + rules[4:]
     net.add_constraint(x, RuleSet("X", damaged))
-    net.add_constraint(y, x.template)
+    net.add_constraint(y, net.constraints["X"].template)
     for cid, constraint in net.constraints.items():
         declared = declared_for(net, constraint)
         report = verify_rules(net.rules[cid], constraint, declared)
@@ -661,7 +661,8 @@ def test_a_damaged_shared_template_fails_with_each_constraints_own_witnesses():
             assert named <= set(constraint.scope), (cid, name, witness)
             for rule in [witness.get("rule", f"{cid}.R1"), *witness.get("order", ())]:
                 assert rule.startswith(f"{cid}.R"), (cid, name, witness)
-    assert x.template.report is not None and not x.template.report.passed
+    report = net.constraints["X"].template.report
+    assert report is not None and not report.passed
 
 
 def count_rule_constructions(monkeypatch):
@@ -702,9 +703,9 @@ def test_bound_rules_read_as_the_tuple_generate_makes(monkeypatch):
     x = ExtensionalConstraint("X", "and", ("A", "B", "C"), gate_table("and", 2))
     y = ExtensionalConstraint("Y", "and", ("D", "E", "F"), gate_table("and", 2))
     net.add_constraint(x, generate(x, dict.fromkeys("ABC", BOOL)))
-    net.add_constraint(y, x.template)
+    net.add_constraint(y, net.constraints["X"].template)
     expected = generate(y, dict.fromkeys("DEF", BOOL)).rules
-    template = y.template
+    template = net.constraints["Y"].template
     made = count_rule_constructions(monkeypatch)
     bound = net.rules["Y"]
     assert len(bound) == len(expected) == 6 and bound

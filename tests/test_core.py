@@ -1,6 +1,6 @@
 import random
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -27,6 +27,9 @@ from dyncsp.core import (
     mask_value,
     release,
 )
+from dyncsp.dynamics import set_active
+
+from test_diagnosis import network_state
 
 
 def bool_net(*names):
@@ -80,7 +83,7 @@ def test_add_constraint_validates_scope_and_tuples():
     assert set(net.constraints) == {"C1"}
     for rejected in (bad_scope, bad_var, bad_value, empty, short, other):
         assert rejected.template is None and rejected.domains == (), rejected.id
-    assert all(dom is net.domains[var] for dom, var in zip(good.domains, "AB"))
+    assert all(dom is net.domains[var] for dom, var in zip(net.constraints["C1"].domains, "AB"))
 
 
 def indexes(net):
@@ -422,32 +425,60 @@ def test_rollback_forgets_the_variables_declared_since_the_mark():
     assert net.domain("A").visible() == BOOL_DOMAIN
 
 
-def test_a_constraint_is_bound_to_one_network_at_a_time():
-    """A registered constraint carries its template and its scope domains,
-    so registering the same object in a second network would re-point the
-    first network's scope domains; it raises and changes neither. Rolling
-    the first network back past the registration unbinds the object, which
-    then registers again."""
+def fields_of(record):
+    """Every field of a dataclass record, runtime fields included."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def test_one_declaration_registers_as_its_own_record_in_each_network():
+    """Each network registers a record it builds itself, so one declaration
+    serves two networks: relaxing it in one leaves the other's record active
+    and propagating, and rolling one back leaves the other as it was. The
+    caller's object is never written to."""
     first, second = bool_net("A", "B"), bool_net("A", "B")
     n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    declared = fields_of(n1)
     rules = generate(n1, dict.fromkeys("AB", BOOL_DOMAIN))
     snap = first.snapshot()
     first.add_constraint(n1, rules)
-    template, before = n1.template, indexes(second)
-    with pytest.raises(ValueError, match="constraint 'N1' is already bound to a network"):
-        second.add_constraint(n1, rules)
-    assert indexes(second) == before
-    assert n1.template is template
-    assert all(dom is first.domains[var] for dom, var in zip(n1.domains, "AB"))
-    assert assert_observation(first, Observation("M1", "A", "true")).status == "fixpoint"
-    assert first.domain("B").visible() == ("false",)
-    first.rollback(snap)
-    assert n1.template is None and n1.domains == ()
     second.add_constraint(n1, rules)
-    assert all(dom is second.domains[var] for dom, var in zip(n1.domains, "AB"))
-    assert assert_observation(second, Observation("M1", "B", "true")).status == "fixpoint"
-    assert second.domain("A").visible() == ("false",)
-    assert first.domain("A").visible() == BOOL_DOMAIN and first.constraints == {}
+    records = first.constraints["N1"], second.constraints["N1"]
+    assert records[0] is not records[1]
+    assert all(record == n1 and record is not n1 for record in records)
+    for net, record in zip((first, second), records):
+        assert all(dom is net.domains[var] for dom, var in zip(record.domains, "AB"))
+    set_active(first, "N1", False)
+    assert not first.constraints["N1"].active and second.constraints["N1"].active
+    assert assert_observation(second, Observation("M1", "A", "true")).status == "fixpoint"
+    assert second.domain("B").visible() == ("false",)
+    assert assert_observation(first, Observation("M1", "A", "true")).status == "fixpoint"
+    assert first.domain("B").visible() == BOOL_DOMAIN
+    first.rollback(snap)
+    assert first.constraints == {} and second.constraints["N1"] is records[1]
+    assert second.domain("B").visible() == ("false",)
+    assert fields_of(n1) == declared
+    assert n1.template is None and n1.domains == () and n1.active
+
+
+def test_a_constraint_id_must_be_a_string():
+    """The agenda orders rule keys by constraint id, so an int id next to a
+    str one used to fail inside the heap after the assert had logged events."""
+    net = bool_net("A", "B", "C")
+    n2 = ExtensionalConstraint("N2", "not", ("B", "C"), gate_table("not", 1))
+    net.add_constraint(n2, generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)))
+    seven = ExtensionalConstraint(7, "not", ("A", "B"), gate_table("not", 1))
+    before, state = indexes(net), network_state(net)
+    with pytest.raises(ValueError, match="constraint id 7 is not a string"):
+        net.add_constraint(seven, net.constraints["N2"].template)
+    assert indexes(net) == before and network_state(net) == state
+    assert assert_observation(net, Observation("M1", "B", "true")).status == "fixpoint"
+    assert net.domain("C").visible() == ("false",)
+
+
+def test_a_template_rejects_a_scope_that_repeats_a_variable():
+    table = gate_table("not", 1)
+    with pytest.raises(ValueError, match="constraint 'N0' repeats a scope variable"):
+        RuleTemplate(ExtensionalConstraint("N0", "not", ("X", "X"), table), (BOOL_DOMAIN,) * 2, ())
 
 
 @settings(deadline=None, max_examples=60)

@@ -290,6 +290,35 @@ def test_retract_validates_its_target():
         retract_observation(net, "M1")
 
 
+def test_one_observation_asserted_in_two_networks_is_retracted_in_each():
+    """Each network registers its own record of an observation, so a
+    retract in one leaves the other's pin in place, and a retract there
+    releases it. The caller's object is never written to."""
+    first, second = inverter_chain(2), inverter_chain(2)
+    m1 = Observation("M1", "V0", "true")
+    assert_observation(first, m1)
+    assert_observation(second, m1)
+    retract_observation(first, "M1")
+    assert visible(first) == {v: BOOL for v in first.domains}
+    assert second.observations["M1"].active
+    assert visible(second) == {"V0": ("true",), "V1": ("false",), "V2": ("true",)}
+    retract_observation(second, "M1")
+    assert visible(second) == {v: BOOL for v in second.domains}
+    assert m1 == Observation("M1", "V0", "true") and m1.active
+
+
+def test_an_observation_passed_inactive_is_asserted_active_and_retracts():
+    """An assert registers an active record whatever the caller's flag says,
+    so a retract releases its pin; the caller's flag stays as it was."""
+    net = inverter_chain(1)
+    m2 = Observation("M2", "V0", "true", active=False)
+    assert_observation(net, m2)
+    assert net.observations["M2"].active and visible(net) == {"V0": ("true",), "V1": ("false",)}
+    retract_observation(net, "M2")
+    assert visible(net) == {v: BOOL for v in net.domains}
+    assert not net.observations["M2"].active and not m2.active
+
+
 def test_retract_releases_pins_and_cancels_dependents():
     net = inverter_chain(3)
     assert_observation(net, Observation("M1", "V0", "true"))

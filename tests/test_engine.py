@@ -14,10 +14,12 @@ from dyncsp import (
     propagate,
 )
 from dyncsp.core import is_instantiated, mask_value
+from dyncsp.dynamics import set_active
 from dyncsp.engine import fire_rule, rule_applicable
 
 from generators import oracle_structures, random_network, random_observations
 from oracles import BOOL, gac_fixpoint, pinned_domains, replay_events
+from test_diagnosis import network_state
 
 
 def gate_net(*decls):
@@ -184,6 +186,28 @@ def test_duplicate_observation_id_raises():
     assert_observation(net, Observation("M1", "E1", "false"))
     with pytest.raises(ValueError):
         assert_observation(net, Observation("M1", "E2", "false"))
+
+
+def test_an_observation_id_must_be_a_string():
+    """Conflicts tell observation causes from firing ids by their type, so an
+    int observation id used to be taken for a firing and fail inside
+    propagation with its pin applied."""
+    net = gate_net(("A1", "and", "A", "B", "C"))
+    state = network_state(net)
+    with pytest.raises(ValueError, match="observation id 1 is not a string"):
+        assert_observation(net, Observation(1, "A", "true"))
+    assert network_state(net) == state and net.observations == {}
+    assert assert_all(net, [("A", "true"), ("C", "true")]).status == "fixpoint"
+    assert net.domains["B"].visible() == ("true",)
+
+
+def test_rules_of_a_relaxed_constraint_are_not_applicable():
+    net = gate_net(("N1", "not", "A", "B"))
+    mask_value(net, "A", "false", "M1")
+    applicable = [i for i in (1, 2, 3, 4) if rule_applicable(net, ("N1", i))]
+    assert applicable
+    set_active(net, "N1", False)
+    assert not any(rule_applicable(net, ("N1", i)) for i in applicable)
 
 
 def test_rejected_observation_leaves_no_trace():

@@ -25,6 +25,7 @@ from dyncsp import (
 )
 from dyncsp import runner
 from dyncsp.core import FiniteDomain, Network, PropagationRule, RuleTemplate
+from dyncsp.textio import Command, ParseError, Script
 
 from generators import (
     faulty_layered_circuit,
@@ -61,6 +62,13 @@ def test_declared_observations_run_as_implicit_asserts():
     assert [f["rule"] for f in fires] == ["N1.R2", "N2.R1"]
     assert report.domains == {"A": ["true"], "B": ["false"], "C": ["true"]}
     assert report.final_consistent
+
+
+def test_an_unknown_command_fails_with_its_line():
+    spec = parse_network(NETWORK)
+    with pytest.raises(ParseError) as raised:
+        run_script(spec, Script((Command("bogus", (), 7),)))
+    assert str(raised.value) == "line 7: unknown command 'bogus'"
 
 
 def test_fire_events_carry_supports_and_masks():

@@ -4,7 +4,8 @@
 fixed canonical order and emits a rule wherever the projections onto the
 unassigned variables are not already entailed by the rules emitted so far.
 A final reverse pass removes any rule whose conclusions the remaining
-rules re-derive, so the published rule set is irredundant.
+rules re-derive, so the published rule set, returned as the
+``RuleTemplate`` of the constraint's shape, is irredundant.
 
 ``verify_rules`` checks a rule set against its constraint on four
 criteria: the chained fixpoint from every consistent partial assignment
@@ -49,14 +50,15 @@ from .core import (
     ConditionLiteral,
     ExtensionalConstraint,
     PropagationRule,
-    RuleSet,
+    RuleTemplate,
     Value,
     VariableId,
 )
 
 DomainMap = dict[VariableId, tuple[Value, ...]]
-# (condition field mask, condition bits, keep mask, rule); see _Layout
-_Packed = tuple[int, int, int, PropagationRule]
+# (condition field mask, condition bits, keep mask, rule); see _Layout. ``generate``
+# packs a candidate's (assignment, conclusions) and builds only the rules it keeps.
+_Packed = tuple[int, int, int, object]
 # cr3 tries this many seeded firing orders per start when cr1 or cr2 fails
 _ORDERS = 10
 _SEED = 0
@@ -294,9 +296,9 @@ def _rederived(packed: list[_Packed], item: _Packed, layout: _Layout) -> bool:
     return not _chain(rest, layout.full & ~cm | cb) & ~keep
 
 
-def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
-    """Compile ``constraint`` into its minimal canonical rule set."""
-    scope = constraint.scope
+def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemplate:
+    """Compile ``constraint`` into its validated template of minimal canonical rules."""
+    scope, cid = constraint.scope, constraint.id
     layout, table, fields = _prepare(constraint, declared)
     packed: list[_Packed] = []
     for assignment, key, start in _candidate_assignments(layout, len(scope) - 1):
@@ -311,33 +313,24 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleSet:
         )
         if not conclusions:
             continue
-        if not _chain(packed, start) & ~layout.keep(conclusions):
+        keep = layout.keep(conclusions)
+        if not _chain(packed, start) & ~keep:
             continue  # the rules so far establish it
-        index = len(packed) + 1
-        rule = PropagationRule(
-            id=f"{constraint.id}.R{index}",
-            owner=constraint.id,
-            index=index,
-            conditions=tuple(
-                ConditionLiteral(var, assignment[var]) for var in scope if var in assignment
-            ),
+        packed.append((layout.full & ~start | key, key, keep, (assignment, conclusions)))
+    rules = tuple(
+        PropagationRule(
+            id=f"{cid}.R{i}",
+            owner=cid,
+            index=i,
+            conditions=tuple(ConditionLiteral(var, value) for var, value in assignment.items()),
             conclusions=conclusions,
         )
-        packed += layout.pack([rule])
-    final = tuple(
-        PropagationRule(
-            id=f"{constraint.id}.R{i}",
-            owner=constraint.id,
-            index=i,
-            conditions=rule.conditions,
-            conclusions=rule.conclusions,
-        )
-        for i, rule in enumerate(_minimize(packed, layout), start=1)
+        for i, (assignment, conclusions) in enumerate(_minimize(packed, layout), start=1)
     )
-    return RuleSet(owner=constraint.id, rules=final)
+    return RuleTemplate(constraint, tuple(layout.declared.values()), rules)
 
 
-def _minimize(packed: list[_Packed], layout: _Layout) -> list[PropagationRule]:
+def _minimize(packed: list[_Packed], layout: _Layout) -> list:
     """Drop rules whose conclusions the remaining rules re-derive.
 
     One pass in reverse emission order, so later, more specific rules go
@@ -349,7 +342,7 @@ def _minimize(packed: list[_Packed], layout: _Layout) -> list[PropagationRule]:
     for item in reversed(packed):
         if _rederived(kept, item, layout):
             kept = [other for other in kept if other is not item]
-    return [rule for _, _, _, rule in kept]
+    return [payload for _, _, _, payload in kept]
 
 
 @dataclass(frozen=True)

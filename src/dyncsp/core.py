@@ -158,21 +158,15 @@ class PropagationRule:
     conclusions: tuple[tuple[VariableId, tuple[Value, ...]], ...]
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """The canonically ordered rules compiled for one constraint."""
-
-    owner: ConstraintId
-    rules: tuple[PropagationRule, ...]
-
-
 class RuleTemplate:
     """The rules compiled for ``owner``, validated once, for every constraint of its shape.
 
     A shape is the allowed tuples plus the declared values at each scope
     position, and compiling depends on nothing else, so the template's
     rules renamed onto another constraint of the shape are exactly the
-    rules ``generate`` would give it.
+    rules ``generate`` would give it. ``generate`` returns one; built by
+    hand, it checks hand-written rules against the constraint and
+    ``domains``, the declared values at each scope position.
     A value at scope position p is named by its bit in the declared
     values there, as in :class:`FiniteDomain`. ``packed[i - 1]`` is rule
     i as ``(conditions, exclusions)``: its (position, bit) conditions in
@@ -186,12 +180,15 @@ class RuleTemplate:
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
-        cid, scope = constraint.id, constraint.scope
+        cid, scope, allowed = constraint.id, tuple(constraint.scope), frozenset(constraint.allowed)
+        domains = tuple(map(tuple, domains))
         if len(set(scope)) != len(scope):
             raise ValueError(f"constraint {cid!r} repeats a scope variable")
-        if not constraint.allowed:
+        if len(domains) != len(scope):
+            raise ValueError(f"constraint {cid!r} needs {len(scope)} domains, not {len(domains)}")
+        if not allowed:
             raise ValueError(f"constraint {cid!r} allows no tuples")
-        for tup in constraint.allowed:
+        for tup in allowed:
             if len(tup) != len(scope):
                 raise ValueError(f"constraint {cid!r} has a tuple of wrong arity: {tup!r}")
             for var, value, declared in zip(scope, tup, domains):
@@ -199,7 +196,7 @@ class RuleTemplate:
                     raise ValueError(
                         f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
                     )
-        self.owner, self.scope, self.allowed = cid, scope, constraint.allowed
+        self.owner, self.scope, self.allowed = cid, scope, allowed
         self.domains, self.rules = domains, rules
         self.report = None
         self.packed: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
@@ -434,14 +431,14 @@ class Network:
         self.domains[name] = dom
         return dom
 
-    def add_constraint(self, constraint: ExtensionalConstraint, rules: RuleSet | RuleTemplate):
-        """Register a constraint with its rules, checking everything first.
+    def add_constraint(self, constraint: ExtensionalConstraint, template: RuleTemplate):
+        """Register a constraint with the rule template of its shape, checking everything first.
 
-        ``rules`` is the constraint's own rule set, validated here, or a
-        template of its shape, validated when it was made. The network keeps its
-        own copy of ``constraint``; a rejected call raises ``ValueError`` and changes nothing.
+        The template was validated when ``generate`` or a caller made it. The
+        network keeps its own copy of ``constraint``, scope and table frozen;
+        a rejected call raises ``ValueError`` and changes nothing.
         """
-        cid, scope = constraint.id, constraint.scope
+        cid, scope = constraint.id, tuple(constraint.scope)
         if not isinstance(cid, str):
             raise ValueError(f"constraint id {cid!r} is not a string")
         if cid in self.constraints:
@@ -453,18 +450,14 @@ class Network:
                 raise ValueError(f"constraint {cid!r} uses undeclared variable {var!r}")
         doms = tuple(self.domains[var] for var in scope)
         declared = tuple(dom.declared for dom in doms)
-        if isinstance(rules, RuleSet):
-            if rules.owner != cid:
-                raise ValueError(f"rule set for {rules.owner!r} attached to {cid!r}")
-            rules = RuleTemplate(constraint, declared, rules.rules)
-        elif rules.domains != declared or rules.allowed != constraint.allowed:
-            raise ValueError(f"constraint {cid!r} does not have the shape of {rules.owner!r}")
+        if template.domains != declared or template.allowed != frozenset(constraint.allowed):
+            raise ValueError(f"constraint {cid!r} does not have the shape of {template.owner!r}")
         record = ExtensionalConstraint(
-            cid, constraint.label, scope, constraint.allowed, constraint.active, constraint.relaxable
+            cid, constraint.label, scope, template.allowed, constraint.active, constraint.relaxable
         )
-        record.template, record.domains = rules, doms
+        record.template, record.domains = template, doms
         self.constraints[cid] = record
-        self.rules[cid] = BoundRules(rules, cid, scope)
+        self.rules[cid] = BoundRules(template, cid, scope)
         for position, dom in enumerate(doms):
             dom.occurrences.append((cid, position))
         self.queue_rules(cid)

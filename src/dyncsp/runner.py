@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 
 from .compiler import dump_rules, generate
-from .core import ExtensionalConstraint, Network, Observation, RuleTemplate
+from .core import ExtensionalConstraint, Network, Observation
 from .diagnosis import diagnose
 from .dynamics import relax, restore, retract_observation
 from .engine import (
@@ -56,11 +56,10 @@ def build_network(
     for constraint in _constraints(spec):
         scope = constraint.scope
         domains = tuple(network.domains[v].declared for v in scope)
-        rules = shapes.get((constraint.allowed, domains))
-        if rules is None:
-            compiled = generate(constraint, dict(zip(scope, domains))).rules
-            rules = shapes[constraint.allowed, domains] = RuleTemplate(constraint, domains, compiled)
-        network.add_constraint(constraint, rules)
+        shape = constraint.allowed, domains
+        if shape not in shapes:
+            shapes[shape] = generate(constraint, dict(zip(scope, domains)))
+        network.add_constraint(constraint, shapes[shape])
     if assert_observations:
         for o in spec.observations:
             assert_observation(network, Observation(o.id, o.variable, o.value))

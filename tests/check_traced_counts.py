@@ -8,7 +8,10 @@ Usage, from the root of a checkout:
 Runs ``perfbench/run.py --workload W --seed 1 --seconds 1 --trace 1`` for
 each workload and compares every per-layer metric whose unit is a count
 or a ratio of counts with ``tests/fixtures/traced_counts_seed1.json``.
-Prints each one that differs and exits 1 if any does. The counts do not
+Prints each one that differs and exits 1 if any does. A traced run whose
+report says ``"correct": false`` also fails the check, since counts taken
+from wrong outputs show nothing; ``run.py`` on one workload exits 0 either
+way, so the script reads the flag itself. The counts do not
 depend on the machine or the hash seed (``perfbench/check_counts.py``),
 so a difference means the program does different work. A change that
 means to do so rewrites the fixture with ``--write``, which prints each
@@ -39,7 +42,10 @@ def traced_counts(workload: str) -> dict[str, float]:
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, check=True, cwd=ROOT,
     )
-    metrics = json.loads(child.stdout.splitlines()[-1])["metrics"]
+    report = json.loads(child.stdout.splitlines()[-1])
+    if not report["correct"]:
+        raise SystemExit(f"{workload}: {report['failed']} operations of the traced run failed their checks")
+    metrics = report["metrics"]
     return {name: m["value"] for name, m in metrics.items() if m["unit"] in ("count", "ratio")}
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import dyncsp
 from dyncsp.cli import main
-from dyncsp.core import RuleSet
+from dyncsp.core import RuleTemplate
 
 from conftest import FIXTURES
 
@@ -178,7 +178,8 @@ def test_verify_fails_and_prints_each_witness_when_rules_are_missing(monkeypatch
     generate = dyncsp.runner.generate
 
     def short(constraint, declared):
-        return RuleSet(constraint.id, generate(constraint, declared).rules[:-1])
+        template = generate(constraint, declared)
+        return RuleTemplate(constraint, template.domains, template.rules[:-1])
 
     monkeypatch.setattr(dyncsp.runner, "generate", short)
     assert main(["verify", CIRCUIT0]) == 1

@@ -28,7 +28,7 @@ from dyncsp.compiler import (
     projection,
     supporting_tuples,
 )
-from dyncsp.core import ConditionLiteral, Network, PropagationRule, RuleSet
+from dyncsp.core import ConditionLiteral, Network, PropagationRule, RuleTemplate
 
 from generators import faulty_layered_circuit, random_table, shared_shape_spec
 from oracles import BOOL, brute_projection, chained_fixpoint
@@ -409,12 +409,21 @@ def test_rule_dump_round_trips_values_in_declared_order():
 
 
 def test_tuple_values_outside_the_declared_domain_stay_visible():
-    """The parser rejects such tables, but ``generate`` and ``verify_rules``
-    take them: ``maybe`` is part of the projection, so cr1 and cr2 fail."""
+    """The parser and ``generate`` reject such tables, but ``verify_rules``
+    takes them: ``maybe`` is part of the projection, so cr1 and cr2 fail
+    for the rules of the table's in-domain rows."""
     rows = {("true", "true"), ("maybe", "false"), ("false", "false")}
     c = table_constraint("T", ("A", "B"), rows)
     decl = {"A": BOOL, "B": BOOL}
-    rules = generate(c, decl).rules
+    with pytest.raises(ValueError, match="tuple value 'maybe' is outside the domain of 'A'"):
+        generate(c, decl)
+    rules = tuple(
+        PropagationRule(f"T.R{i}", "T", i, (ConditionLiteral(var, value),), ((other, (value,)),))
+        for i, (var, other, value) in enumerate(
+            (("A", "B", "false"), ("A", "B", "true"), ("B", "A", "false"), ("B", "A", "true")),
+            start=1,
+        )
+    )
     assert dump_rules(rules) == """\
 R1: IF A=false THEN B in {false}
 R2: IF A=true THEN B in {true}
@@ -646,7 +655,7 @@ def test_a_damaged_shared_template_fails_with_each_constraints_own_witnesses():
     rules = generate(x, dict.fromkeys("ABC", BOOL)).rules
     # R4 reads A=true AND B=true THEN C in {true}; make it remove the supported value
     damaged = rules[:3] + (PropagationRule("X.R4", "X", 4, rules[3].conditions, (("C", ("false",)),)),) + rules[4:]
-    net.add_constraint(x, RuleSet("X", damaged))
+    net.add_constraint(x, RuleTemplate(x, (BOOL,) * 3, damaged))
     net.add_constraint(y, net.constraints["X"].template)
     for cid, constraint in net.constraints.items():
         declared = declared_for(net, constraint)
@@ -676,6 +685,28 @@ def count_rule_constructions(monkeypatch):
 
     monkeypatch.setattr(PropagationRule, "__init__", counted)
     return made
+
+
+def test_generate_constructs_one_rule_per_published_rule(monkeypatch):
+    """Candidates are packed from their bits, and rule objects are built
+    only for the rules minimization keeps. Building one per candidate and
+    then each kept rule again made twice as many, and more where
+    minimization drops rules (the second table drops four)."""
+    made = count_rule_constructions(monkeypatch)
+    cases = [
+        (ExtensionalConstraint(kind, kind, tuple(scope), gate_table(kind, len(scope) - 1)), BOOL)
+        for kind, scope in (("and", "ABC"), ("xor", "ABC"), ("not", "AB"))
+    ]
+    for seed in (18, 36):
+        scope, rows = random_table(seed, max_arity=5, min_arity=3, values=("a", "b", "c"))
+        cases.append((table_constraint(f"T{seed}", scope, rows), ("a", "b", "c")))
+    counts = []
+    for constraint, values in cases:
+        made.clear()
+        template = generate(constraint, dict.fromkeys(constraint.scope, values))
+        assert made == [rule.id for rule in template.rules], constraint.id
+        counts.append(len(made))
+    assert counts == [6, 12, 4, 9, 22]
 
 
 def test_verifying_passing_shapes_constructs_no_rule(monkeypatch):

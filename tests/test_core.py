@@ -20,7 +20,6 @@ from dyncsp import (
 from dyncsp.core import (
     ConditionLiteral,
     PropagationRule,
-    RuleSet,
     RuleTemplate,
     exclude,
     is_instantiated,
@@ -56,32 +55,34 @@ def test_add_variable_rejects_duplicates_and_bad_domains():
         net.add_variable("B", ("x", "x"))
 
 
+def bool_template(constraint, rules=()):
+    """The template of hand-written ``rules`` for ``constraint`` over boolean domains."""
+    return RuleTemplate(constraint, (BOOL_DOMAIN,) * len(constraint.scope), rules)
+
+
 def test_add_constraint_validates_scope_and_tuples():
     net = bool_net("A", "B")
     good = ExtensionalConstraint("C1", "c", ("A", "B"), frozenset({("true", "true")}))
-    net.add_constraint(good, RuleSet("C1", ()))
+    net.add_constraint(good, bool_template(good))
     with pytest.raises(ValueError):
-        net.add_constraint(good, RuleSet("C1", ()))
+        net.add_constraint(good, bool_template(good))
     bad_scope = ExtensionalConstraint("C2", "c", ("A", "A"), frozenset({("true", "true")}))
     with pytest.raises(ValueError):
-        net.add_constraint(bad_scope, RuleSet("C2", ()))
+        net.add_constraint(bad_scope, bool_template(bad_scope))
     bad_var = ExtensionalConstraint("C3", "c", ("A", "Z"), frozenset({("true", "true")}))
     with pytest.raises(ValueError):
-        net.add_constraint(bad_var, RuleSet("C3", ()))
+        net.add_constraint(bad_var, bool_template(bad_var))
     bad_value = ExtensionalConstraint("C4", "c", ("A", "B"), frozenset({("true", "maybe")}))
     with pytest.raises(ValueError):
-        net.add_constraint(bad_value, RuleSet("C4", ()))
+        net.add_constraint(bad_value, bool_template(bad_value))
     empty = ExtensionalConstraint("C5", "c", ("A", "B"), frozenset())
     with pytest.raises(ValueError):
-        net.add_constraint(empty, RuleSet("C5", ()))
+        net.add_constraint(empty, bool_template(empty))
     short = ExtensionalConstraint("C6", "c", ("A", "B"), frozenset({("true",)}))
     with pytest.raises(ValueError, match="tuple of wrong arity"):
-        net.add_constraint(short, RuleSet("C6", ()))
-    other = ExtensionalConstraint("C7", "c", ("A", "B"), frozenset({("true", "true")}))
-    with pytest.raises(ValueError, match="rule set for 'C1' attached to 'C7'"):
-        net.add_constraint(other, RuleSet("C1", ()))
+        net.add_constraint(short, bool_template(short))
     assert set(net.constraints) == {"C1"}
-    for rejected in (bad_scope, bad_var, bad_value, empty, short, other):
+    for rejected in (bad_scope, bad_var, bad_value, empty, short):
         assert rejected.template is None and rejected.domains == (), rejected.id
     assert all(dom is net.domains[var] for dom, var in zip(net.constraints["C1"].domains, "AB"))
 
@@ -121,11 +122,11 @@ def test_rejected_rule_set_leaves_no_trace():
         (misfiled, "of 'N1' attached to 'N2'"),
     ):
         with pytest.raises(ValueError, match=message):
-            net.add_constraint(n2, RuleSet("N2", bad))
+            net.add_constraint(n2, bool_template(n2, bad))
         assert set(net.constraints) == set(net.rules) == {"N1"}
         assert indexes(net) == before
         assert n2.template is None and n2.domains == ()
-    net.add_constraint(n2, RuleSet("N2", rules))
+    net.add_constraint(n2, bool_template(n2, rules))
     assert net.rules["N2"] == rules
 
 
@@ -135,12 +136,12 @@ def test_rule_indices_must_follow_their_positions():
     rules = generate(n1, {"A": BOOL_DOMAIN, "B": BOOL_DOMAIN}).rules
     shifted = tuple(replace(rule, index=rule.index + 1) for rule in rules)
     with pytest.raises(ValueError, match="has index 2, not 1"):
-        net.add_constraint(n1, RuleSet("N1", shifted))
+        net.add_constraint(n1, bool_template(n1, shifted))
     assert net.constraints == net.rules == {}
     assert n1.template is None and n1.domains == ()
     assert net.domains["A"].occurrences == net.domains["B"].occurrences == []
     assert len(net.agenda) == 0
-    net.add_constraint(n1, RuleSet("N1", rules))
+    net.add_constraint(n1, bool_template(n1, rules))
     assert net.rules["N1"] == rules
     assert net.rules["N1"][0] is rules[0]
 
@@ -160,14 +161,12 @@ def test_rules_naming_values_outside_the_declared_domain_are_rejected():
         before = indexes(net)
         message = f"names value '{value}' outside the domain of '{var}'"
         with pytest.raises(ValueError, match=message):
-            net.add_constraint(c, RuleSet("C", bad))
-        with pytest.raises(ValueError, match=message):
-            RuleTemplate(c, (BOOL_DOMAIN,) * 3, bad)
+            net.add_constraint(c, bool_template(c, bad))
         assert indexes(net) == before
     stray = (PropagationRule("C.R1", "C", 1, (), (("Z", ("true",)),)),)
     net.add_variable("Z")
     with pytest.raises(ValueError, match="outside the scope of 'C'"):
-        net.add_constraint(c, RuleSet("C", stray))
+        net.add_constraint(c, bool_template(c, stray))
     assert net.constraints == {}
     # the assert that used to raise partway now runs on an empty network
     assert assert_observation(net, Observation("M1", "A", "true")).status == "fixpoint"
@@ -180,7 +179,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
         net.add_variable(name, domain)
     table = gate_table("not", 1)
     n0 = ExtensionalConstraint("N0", "not", ("X", "Y"), table)
-    template = RuleTemplate(n0, (BOOL_DOMAIN, BOOL_DOMAIN), generate(n0, dict.fromkeys("XY", BOOL_DOMAIN)).rules)
+    template = generate(n0, dict.fromkeys("XY", BOOL_DOMAIN))
     n1 = ExtensionalConstraint("N1", "not", ("A", "B"), table)
     net.add_constraint(n1, template)
     assert net.rules["N1"] == generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)).rules
@@ -203,7 +202,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
     net.add_constraint(n2, template)
     assert net.rules["N2"] == generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)).rules
     assert net.domains["B"].occurrences == [("N1", 1), ("N2", 0)]
-    # a rule set names rule i of K "K.R<i>", so no bound id can collide
+    # a template names rule i of K "K.R<i>", so no bound id can collide
     k = ExtensionalConstraint("K", "not", ("A", "C"), table)
     named = tuple(
         replace(rule, id=f"N3.R{rule.index}")
@@ -211,7 +210,7 @@ def test_a_template_binds_only_constraints_of_its_shape():
     )
     before = indexes(net)
     with pytest.raises(ValueError, match="rule 'N3.R1' is not named 'K.R1'"):
-        net.add_constraint(k, RuleSet("K", named))
+        net.add_constraint(k, bool_template(k, named))
     assert indexes(net) == before
 
 
@@ -223,7 +222,7 @@ def test_a_new_constraint_queues_only_rules_whose_conditions_hold():
     assert_observation(net, Observation("M1", "B", "true"))
     n2 = ExtensionalConstraint("N2", "not", ("B", "C"), gate_table("not", 1))
     rules = generate(n2, dict.fromkeys("BC", BOOL_DOMAIN)).rules
-    net.add_constraint(n2, RuleSet("N2", rules))
+    net.add_constraint(n2, bool_template(n2, rules))
     (held,) = [rule for rule in rules if rule.conditions == (("B", "true"),)]
     assert net.agenda.queued == {("N2", held.index)}
     forced = ExtensionalConstraint("F", "c", ("C",), frozenset({("false",)}))
@@ -479,6 +478,40 @@ def test_a_template_rejects_a_scope_that_repeats_a_variable():
     table = gate_table("not", 1)
     with pytest.raises(ValueError, match="constraint 'N0' repeats a scope variable"):
         RuleTemplate(ExtensionalConstraint("N0", "not", ("X", "X"), table), (BOOL_DOMAIN,) * 2, ())
+
+
+def test_a_template_needs_one_domain_per_scope_position():
+    """The tuple check zips scope, tuple and domains, so it used to stop at
+    the shortest: one domain failed later with an IndexError, three made a
+    template, and a value at the unmatched position went unchecked."""
+    n1 = ExtensionalConstraint("N1", "not", ("A", "B"), gate_table("not", 1))
+    rules = generate(n1, dict.fromkeys("AB", BOOL_DOMAIN)).rules
+    for domains, allowed, hand_written in (
+        ((BOOL_DOMAIN,), n1.allowed, rules),
+        ((BOOL_DOMAIN,) * 3, n1.allowed, rules),
+        ((BOOL_DOMAIN,), frozenset({("true", "x")}), ()),
+    ):
+        message = f"'N1' needs 2 domains, not {len(domains)}"
+        with pytest.raises(ValueError, match=message):
+            RuleTemplate(replace(n1, allowed=allowed), domains, hand_written)
+
+
+def test_a_registered_record_keeps_frozen_copies_of_scope_and_table():
+    """A record used to keep the caller's scope list and table set, so
+    appending to them after registration gave the record a third scope
+    variable next to two domains and changed the template's table too."""
+    net = bool_net("A", "B", "C")
+    scope, rows = ["A", "B"], set(gate_table("not", 1))
+    n1 = ExtensionalConstraint("N1", "not", scope, rows)
+    net.add_constraint(n1, generate(n1, dict.fromkeys(scope, BOOL_DOMAIN)))
+    scope.append("C")
+    rows.add(("true", "true"))
+    record = net.constraints["N1"]
+    assert record.scope == ("A", "B") and len(record.domains) == 2
+    assert record.allowed == record.template.allowed == gate_table("not", 1)
+    assert record.template.scope == ("A", "B")
+    assert_observation(net, Observation("M1", "A", "true"))
+    assert net.domain("B").visible() == ("false",)
 
 
 @settings(deadline=None, max_examples=60)

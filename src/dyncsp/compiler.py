@@ -19,11 +19,14 @@ bit per (variable, declared value), and each rule is packed once per
 ``generate`` or ``verify_rules`` call into masks, so a condition test, a
 firing and a shrink test are each one or two integer operations.
 
-Both also read a support table, built once per call from the allowed
-tuples: it maps every consistent partial assignment to the OR of the bits
-of its supporting tuples. That union is the exact projection of each
-unassigned variable, so ``generate`` reads its conclusions from it, and
-``verify_rules`` decides cr1 and cr2 by comparing it with one closure
+Both check the table with ``core.check_table``, as ``RuleTemplate``
+does, so they reject the same tables with the same messages, and every
+tuple value has a bit. Both also read a support table, built once per
+call from the allowed tuples: it maps every consistent partial
+assignment to the OR of the bits of its supporting tuples. That union is
+the exact projection of each unassigned variable, so ``generate`` reads
+its conclusions from it, and ``verify_rules`` decides cr1 and cr2, and
+reads a cr1 witness's expected values, by comparing it with one closure
 per consistent start. When both hold at every start, cr3 follows from
 the chaotic-iteration theorem, and firing orders are sampled only
 otherwise.
@@ -53,6 +56,7 @@ from .core import (
     RuleTemplate,
     Value,
     VariableId,
+    check_table,
 )
 
 DomainMap = dict[VariableId, tuple[Value, ...]]
@@ -62,35 +66,6 @@ _Packed = tuple[int, int, int, object]
 # cr3 tries this many seeded firing orders per start when cr1 or cr2 fails
 _ORDERS = 10
 _SEED = 0
-
-
-def supporting_tuples(
-    constraint: ExtensionalConstraint, assignment: dict[VariableId, Value]
-) -> list[tuple[Value, ...]]:
-    """Allowed tuples that agree with ``assignment``, sorted."""
-    pos = {var: i for i, var in enumerate(constraint.scope)}
-    for var in assignment:
-        if var not in pos:
-            raise ValueError(f"variable {var!r} is not in the scope of {constraint.id!r}")
-    return sorted(
-        t
-        for t in constraint.allowed
-        if all(t[pos[var]] == value for var, value in assignment.items())
-    )
-
-
-def projection(
-    constraint: ExtensionalConstraint,
-    assignment: dict[VariableId, Value],
-    target: VariableId,
-) -> frozenset[Value]:
-    """Values of ``target`` in allowed tuples agreeing with ``assignment``."""
-    if target in assignment:
-        raise ValueError(f"target {target!r} is already assigned")
-    pos = {var: i for i, var in enumerate(constraint.scope)}
-    if target not in pos:
-        raise ValueError(f"target {target!r} is not in the scope of {constraint.id!r}")
-    return frozenset(t[pos[target]] for t in supporting_tuples(constraint, assignment))
 
 
 def closure(
@@ -244,45 +219,33 @@ def _extend(layout: _Layout, scope, first, size, assignment, key, pinned):
 
 def _prepare(
     constraint: ExtensionalConstraint, declared: DomainMap
-) -> tuple[_Layout, dict[int, int], dict[VariableId, int]]:
-    """The layout over the scope, the support table and the fields it is read with.
+) -> tuple[_Layout, dict[int, int]]:
+    """The layout over the scope and the support table.
 
-    Rejects a scope variable without a declared domain, a repeated scope
-    variable and a relation that allows no tuples. The table maps every
-    consistent partial assignment, keyed by the OR of its value bits, to
-    the OR of the bits of all its supporting tuples. That union holds the
-    exact projection of each unassigned variable and every value a sound
-    rule set must keep. A tuple value outside the
-    declared domains gets a bit of its own above ``layout.full``, so the
-    union still shows it; the fields returned include those bits.
+    Rejects a scope variable without a declared domain, and every table
+    that ``check_table`` rejects. The table maps every consistent partial
+    assignment, keyed by the OR of its value bits, to the OR of the bits
+    of all its supporting tuples. That union holds the exact projection
+    of each unassigned variable and every value a sound rule set must
+    keep.
     """
     scope = constraint.scope
     for var in scope:
         if var not in declared:
             raise ValueError(f"no declared domain for scope variable {var!r}")
-    if len(set(scope)) != len(scope):
-        raise ValueError(f"constraint {constraint.id!r} repeats a scope variable")
-    if not constraint.allowed:
-        raise ValueError(f"constraint {constraint.id!r} allows no tuples")
-    layout = _Layout({var: tuple(declared[var]) for var in scope})
-    bits = dict(layout.bits)
-    fields = dict(layout.fields)
+    domains = tuple(tuple(declared[var]) for var in scope)
+    check_table(constraint, domains)
+    layout = _Layout(dict(zip(scope, domains)))
     table: dict[int, int] = {}
     for row in constraint.allowed:
-        row_bits = []
-        for var, value in zip(scope, row):
-            bit = bits.get((var, value))
-            if bit is None:
-                bit = bits[(var, value)] = 1 << len(bits)
-                fields[var] |= bit
-            row_bits.append(bit)
         keys = [0]
-        for bit in row_bits:
+        for var, value in zip(scope, row):
+            bit = layout.bits[(var, value)]
             keys += [key | bit for key in keys]
         union = keys[-1]  # every bit of the row
         for key in keys:
             table[key] = table.get(key, 0) | union
-    return layout, table, fields
+    return layout, table
 
 
 def _rederived(packed: list[_Packed], item: _Packed, layout: _Layout) -> bool:
@@ -299,7 +262,7 @@ def _rederived(packed: list[_Packed], item: _Packed, layout: _Layout) -> bool:
 def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemplate:
     """Compile ``constraint`` into its validated template of minimal canonical rules."""
     scope, cid = constraint.scope, constraint.id
-    layout, table, fields = _prepare(constraint, declared)
+    layout, table = _prepare(constraint, declared)
     packed: list[_Packed] = []
     for assignment, key, start in _candidate_assignments(layout, len(scope) - 1):
         union = table.get(key)
@@ -309,7 +272,7 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemp
         conclusions = tuple(
             (var, tuple(v for v in layout.declared[var] if union & layout.bits[(var, v)]))
             for var in scope
-            if var not in assignment and union & fields[var] != layout.fields[var]
+            if var not in assignment and layout.fields[var] & ~union
         )
         if not conclusions:
             continue
@@ -379,25 +342,18 @@ def verify_rules(
     renaming, its bound rules. A failing one does not: the constraint's
     own rules are then checked, so the witnesses name its variables.
     """
-    if isinstance(rules, BoundRules) and _has_shape(rules, constraint, declared):
+    if isinstance(rules, BoundRules) and rules.scope == constraint.scope:
         template = rules.template
-        if template.report is None:
-            own = ExtensionalConstraint(template.owner, "", template.scope, template.allowed)
-            template.report = _verify(template.rules, own, dict(zip(template.scope, template.domains)))
-        if template.report.passed:
-            return template.report
+        # an undeclared variable's () fits no template, and _verify rejects it
+        domains = tuple(tuple(declared.get(var, ())) for var in rules.scope)
+        if template.fits(constraint.allowed, domains):
+            if template.report is None:
+                own = ExtensionalConstraint(template.owner, "", template.scope, template.allowed)
+                own_declared = dict(zip(template.scope, template.domains))
+                template.report = _verify(template.rules, own, own_declared)
+            if template.report.passed:
+                return template.report
     return _verify(rules, constraint, declared)
-
-
-def _has_shape(rules: BoundRules, constraint: ExtensionalConstraint, declared: DomainMap) -> bool:
-    """Whether ``rules`` were bound over the scope of ``constraint``, of their template's shape."""
-    template, scope = rules.template, constraint.scope
-    return (
-        rules.scope == scope
-        and all(var in declared for var in scope)
-        and tuple(tuple(declared[var]) for var in scope) == template.domains
-        and constraint.allowed == template.allowed
-    )
 
 
 def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> VerificationReport:
@@ -412,7 +368,7 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
     docstring) the forbidden full assignments need no pass of their own.
     """
     scope = constraint.scope
-    layout, table, fields = _prepare(constraint, declared)
+    layout, table = _prepare(constraint, declared)
     packed = layout.pack(rules)
     cr1 = cr2 = None
     for assignment, key, start in _candidate_assignments(layout, len(scope)):
@@ -425,13 +381,13 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
         assigned = layout.full & ~start | key  # the fields of the assigned variables
         moved = (state ^ union) & ~assigned
         if not cr1 and moved:
-            var = next(var for var in scope if moved & fields[var])
+            var = next(var for var in scope if moved & layout.fields[var])
             cr1 = CriterionResult(
                 False,
                 {
                     "start": dict(assignment),
                     "variable": var,
-                    "expected": sorted(projection(constraint, assignment, var)),
+                    "expected": sorted(layout.values(union, var)),
                     "actual": sorted(layout.values(state, var)),
                 },
             )
@@ -461,14 +417,17 @@ def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
 
     It names the first supporting tuple, in sorted order, and its first
     removed value in scope order, with the rule whose firing removed it.
+    A tuple supports the start when the start keeps each of its values.
     """
     removed_by: dict[int, str] = {}
     state = _chain(packed, start, removed_by=removed_by)
+    bits = layout.bits
     support, var, value = next(
         (support, var, value)
-        for support in supporting_tuples(constraint, assignment)
+        for support in sorted(constraint.allowed)
+        if all(start & bits[pair] for pair in zip(constraint.scope, support))
         for var, value in zip(constraint.scope, support)
-        if not state & layout.bits.get((var, value), 0)
+        if not state & bits[(var, value)]
     )
     return CriterionResult(
         False,
@@ -477,7 +436,7 @@ def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
             "tuple": list(support),
             "variable": var,
             "value": value,
-            "rule": removed_by.get(layout.bits.get((var, value))),
+            "rule": removed_by[bits[(var, value)]],
         },
     )
 

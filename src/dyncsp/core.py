@@ -101,9 +101,6 @@ class FiniteDomain:
     def visible(self) -> tuple[Value, ...]:
         return tuple(v for v in self.declared if v not in self.mask)
 
-    def is_visible(self, value: Value) -> bool:
-        return bool(self.visible_bits & self.bit(value))
-
     def visible_count(self) -> int:
         return len(self.declared) - len(self.mask)
 
@@ -182,20 +179,7 @@ class RuleTemplate:
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
         cid, scope, allowed = constraint.id, tuple(constraint.scope), frozenset(constraint.allowed)
         domains = tuple(map(tuple, domains))
-        if len(set(scope)) != len(scope):
-            raise ValueError(f"constraint {cid!r} repeats a scope variable")
-        if len(domains) != len(scope):
-            raise ValueError(f"constraint {cid!r} needs {len(scope)} domains, not {len(domains)}")
-        if not allowed:
-            raise ValueError(f"constraint {cid!r} allows no tuples")
-        for tup in allowed:
-            if len(tup) != len(scope):
-                raise ValueError(f"constraint {cid!r} has a tuple of wrong arity: {tup!r}")
-            for var, value, declared in zip(scope, tup, domains):
-                if value not in declared:
-                    raise ValueError(
-                        f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
-                    )
+        check_table(constraint, domains)
         self.owner, self.scope, self.allowed = cid, scope, allowed
         self.domains, self.rules = domains, rules
         self.report = None
@@ -232,6 +216,34 @@ class RuleTemplate:
                         self.excluding[p].setdefault(bit, []).append(index)
                 exclusions.append((p, excluded))
             self.packed.append((conditions, exclusions))
+
+    def fits(self, allowed, domains: tuple) -> bool:
+        """Whether a table of ``allowed`` tuples over ``domains``, the declared
+        values at each scope position, has this template's shape."""
+        return self.domains == domains and self.allowed == frozenset(allowed)
+
+
+def check_table(constraint: ExtensionalConstraint, domains: tuple) -> None:
+    """Reject a table that is no relation over ``domains``, the declared values per scope position.
+
+    ``generate``, ``verify_rules`` and ``RuleTemplate`` all check a table
+    here, so they reject the same tables with the same messages.
+    """
+    cid, scope = constraint.id, tuple(constraint.scope)
+    if len(set(scope)) != len(scope):
+        raise ValueError(f"constraint {cid!r} repeats a scope variable")
+    if len(domains) != len(scope):
+        raise ValueError(f"constraint {cid!r} needs {len(scope)} domains, not {len(domains)}")
+    if not constraint.allowed:
+        raise ValueError(f"constraint {cid!r} allows no tuples")
+    for tup in constraint.allowed:
+        if len(tup) != len(scope):
+            raise ValueError(f"constraint {cid!r} has a tuple of wrong arity: {tup!r}")
+        for var, value, declared in zip(scope, tup, domains):
+            if value not in declared:
+                raise ValueError(
+                    f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
+                )
 
 
 class BoundRules(Sequence):
@@ -449,8 +461,7 @@ class Network:
             if var not in self.domains:
                 raise ValueError(f"constraint {cid!r} uses undeclared variable {var!r}")
         doms = tuple(self.domains[var] for var in scope)
-        declared = tuple(dom.declared for dom in doms)
-        if template.domains != declared or template.allowed != frozenset(constraint.allowed):
+        if not template.fits(constraint.allowed, tuple(dom.declared for dom in doms)):
             raise ValueError(f"constraint {cid!r} does not have the shape of {template.owner!r}")
         record = ExtensionalConstraint(
             cid, constraint.label, scope, template.allowed, constraint.active, constraint.relaxable
@@ -650,13 +661,6 @@ def exclude(
             newly = mask_value(network, dom.variable, value, cause)
             (hidden if newly else claimed).append((dom.variable, value))
     return hidden, claimed
-
-
-def is_instantiated(network: Network, variable: VariableId, value: Value) -> bool:
-    """True iff ``value`` is the one visible value of ``variable``."""
-    dom = network.domain(variable)
-    bit = dom.bit(value)
-    return bit != 0 and dom.visible_bits == bit
 
 
 def conditions_hold(doms: tuple[FiniteDomain, ...], conditions) -> bool:

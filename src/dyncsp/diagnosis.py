@@ -37,8 +37,14 @@ class Diagnosis:
 
 
 def check_consistent(network: Network) -> tuple[bool, ConflictSet | None]:
-    """Propagate and report whether the network reached a fixpoint."""
+    """Propagate and report whether the network reached a fixpoint.
+
+    Under ``short_circuit`` a pass can end with held-back rules still
+    queued, so passes repeat until a conflict or an empty agenda.
+    """
     outcome = propagate(network)
+    while outcome.status != CONFLICT and network.agenda:
+        outcome = propagate(network)
     if outcome.status == CONFLICT:
         return False, outcome.conflict[1]
     return True, None

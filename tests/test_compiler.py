@@ -25,8 +25,6 @@ from dyncsp.compiler import (
     _Layout,
     closure,
     format_rule,
-    projection,
-    supporting_tuples,
 )
 from dyncsp.core import ConditionLiteral, Network, PropagationRule, RuleTemplate
 
@@ -107,26 +105,6 @@ def test_forced_column_yields_unconditional_rule():
     result = closure(rules, {}, {"A": BOOL, "B": BOOL})
     assert result["B"] == frozenset({"true"})
     assert verify_rules(rules, c, {"A": BOOL, "B": BOOL}).passed
-
-
-def test_projection_matches_brute_force():
-    c = or_constraint()
-    for assignment in ({}, {"V1": "true"}, {"V3": "false"}, {"V1": "false", "V2": "false"}):
-        for target in ("V1", "V2", "V3"):
-            if target in assignment:
-                continue
-            expected = brute_projection(c.scope, c.allowed, assignment, target)
-            assert projection(c, assignment, target) == expected
-
-
-def test_projection_rejects_bad_targets():
-    c = or_constraint()
-    with pytest.raises(ValueError):
-        projection(c, {"V1": "true"}, "V1")
-    with pytest.raises(ValueError):
-        projection(c, {}, "Z")
-    with pytest.raises(ValueError):
-        projection(c, {"Z": "true"}, "V1")
 
 
 def test_closure_drives_forbidden_assignment_empty():
@@ -408,15 +386,11 @@ def test_rule_dump_round_trips_values_in_declared_order():
     assert "in {green,blue}" in text or "in {red,green}" in text or "in {red,blue}" in text
 
 
-def test_tuple_values_outside_the_declared_domain_stay_visible():
-    """The parser and ``generate`` reject such tables, but ``verify_rules``
-    takes them: ``maybe`` is part of the projection, so cr1 and cr2 fail
-    for the rules of the table's in-domain rows."""
-    rows = {("true", "true"), ("maybe", "false"), ("false", "false")}
-    c = table_constraint("T", ("A", "B"), rows)
+def test_verify_rules_rejects_the_tables_generate_rejects():
+    """A short tuple, a long tuple and a value outside the declared domains
+    each raise the same ``ValueError`` from ``generate``, ``verify_rules``
+    and ``RuleTemplate``: one check decides what a table is."""
     decl = {"A": BOOL, "B": BOOL}
-    with pytest.raises(ValueError, match="tuple value 'maybe' is outside the domain of 'A'"):
-        generate(c, decl)
     rules = tuple(
         PropagationRule(f"T.R{i}", "T", i, (ConditionLiteral(var, value),), ((other, (value,)),))
         for i, (var, other, value) in enumerate(
@@ -424,26 +398,25 @@ def test_tuple_values_outside_the_declared_domain_stay_visible():
             start=1,
         )
     )
-    assert dump_rules(rules) == """\
-R1: IF A=false THEN B in {false}
-R2: IF A=true THEN B in {true}
-R3: IF B=false THEN A in {false}
-R4: IF B=true THEN A in {true}"""
-    report = verify_rules(rules, c, decl)
-    assert report.cr1.witness == {
-        "start": {},
-        "variable": "A",
-        "expected": ["false", "maybe", "true"],
-        "actual": ["false", "true"],
-    }
-    assert report.cr2.witness == {
-        "start": {},
-        "tuple": ["maybe", "false"],
-        "variable": "A",
-        "value": "maybe",
-        "rule": None,
-    }
-    assert report.cr3.passed and report.cr4.passed
+    cases = [
+        ({("true",), ("false", "false")}, r"has a tuple of wrong arity: \('true',\)"),
+        (
+            {("true", "true", "false"), ("false", "false")},
+            r"has a tuple of wrong arity: \('true', 'true', 'false'\)",
+        ),
+        (
+            {("true", "true"), ("maybe", "false"), ("false", "false")},
+            "tuple value 'maybe' is outside the domain of 'A'",
+        ),
+    ]
+    for rows, message in cases:
+        c = table_constraint("T", ("A", "B"), rows)
+        with pytest.raises(ValueError, match=message):
+            generate(c, decl)
+        with pytest.raises(ValueError, match=message):
+            verify_rules(rules, c, decl)
+        with pytest.raises(ValueError, match=message):
+            RuleTemplate(c, (BOOL, BOOL), rules)
 
 
 def test_a_scope_that_repeats_a_variable_is_rejected():
@@ -535,20 +508,28 @@ def mutated_rule_sets(draw):
     return damaged_rule_set(lambda options: draw(st.sampled_from(options)))
 
 
+def supports(c, start):
+    """The allowed rows of ``c`` that agree with ``start``, sorted."""
+    pos = {var: i for i, var in enumerate(c.scope)}
+    return sorted(row for row in c.allowed if all(row[pos[v]] == val for v, val in start.items()))
+
+
+def raw_rules(rules):
+    return [(list(rule.conditions), list(rule.conclusions)) for rule in rules]
+
+
 def brute_cr1_cr2(c, declared, rules):
     """cr1 and cr2 by plain set chaining from every partial assignment."""
-    raw = [(list(rule.conditions), list(rule.conclusions)) for rule in rules]
+    raw = raw_rules(rules)
     pos = {var: i for i, var in enumerate(c.scope)}
     exact = sound = True
     for size in range(len(c.scope) + 1):
         for variables in combinations(c.scope, size):
             for values in product(*(declared[var] for var in variables)):
                 start = dict(zip(variables, values))
-                supports = [
-                    row for row in c.allowed if all(row[pos[v]] == val for v, val in start.items())
-                ]
+                rows = supports(c, start)
                 doms = chained_fixpoint(declared, raw, start)
-                if not supports:
+                if not rows:
                     if size == len(c.scope) and all(doms.values()):
                         exact = False
                     continue
@@ -557,19 +538,36 @@ def brute_cr1_cr2(c, declared, rules):
                         c.scope, c.allowed, start, var
                     ):
                         exact = False
-                sound &= all(row[pos[var]] in doms[var] for row in supports for var in c.scope)
+                sound &= all(row[pos[var]] in doms[var] for row in rows for var in c.scope)
     return exact, sound
 
 
 def check_against_brute_force(c, declared, rules):
-    """cr1 and cr2 agree with ``brute_cr1_cr2``; a failing sampled order comes with either failing."""
+    """cr1 and cr2 agree with ``brute_cr1_cr2`` and their witnesses with the
+    brute-force projection and supports; a failing sampled order comes with
+    either failing."""
     report = verify_rules(rules, c, declared)
     assert (report.cr1.passed, report.cr2.passed) == brute_cr1_cr2(c, declared, rules)
+    if not report.cr1.passed:
+        witness = report.cr1.witness
+        expected = brute_projection(c.scope, c.allowed, witness["start"], witness["variable"])
+        assert witness["expected"] == sorted(expected)
+    if not report.cr2.passed:
+        # the first supporting row, in sorted order, with a value the chain removes
+        witness = report.cr2.witness
+        doms = chained_fixpoint(declared, raw_rules(rules), witness["start"])
+        row, var, value = next(
+            (row, var, value)
+            for row in supports(c, witness["start"])
+            for var, value in zip(c.scope, row)
+            if value not in doms[var]
+        )
+        assert (witness["tuple"], witness["variable"], witness["value"]) == (list(row), var, value)
     layout = _Layout(declared)
     consistent = [
         assignment
         for assignment, _, _ in _candidate_assignments(layout, len(c.scope))
-        if supporting_tuples(c, assignment)
+        if supports(c, assignment)
     ]
     sampled = _check_confluence(layout.pack(rules), layout, consistent)
     if not sampled.passed:

@@ -22,7 +22,6 @@ from dyncsp.core import (
     PropagationRule,
     RuleTemplate,
     exclude,
-    is_instantiated,
     mask_value,
     release,
 )
@@ -314,7 +313,7 @@ def test_exclude_can_claim_already_masked_values():
     assert net.domains["A"].mask["true"] == {"M1", 7}
     # the claim holds the exclusion once the original cause is gone
     release(net, "A", "true", "M1")
-    assert not net.domains["A"].is_visible("true")
+    assert "true" not in net.domains["A"].visible()
 
 
 def test_mask_value_rejects_foreign_values():
@@ -345,28 +344,33 @@ def test_observation_pin_masks_even_masked_values():
 
 
 def test_is_instantiated():
+    """A variable is instantiated to a value when its visible bits are
+    exactly that value's bit, as a rule condition tests it."""
     net = bool_net("A")
-    assert not is_instantiated(net, "A", "true")
+    dom = net.domains["A"]
+    assert dom.visible_bits != dom.bit("true")
     mask_value(net, "A", "false", 1)
-    assert is_instantiated(net, "A", "true")
-    assert not is_instantiated(net, "A", "false")
+    assert dom.visible() == ("true",)
+    assert dom.visible_bits == dom.bit("true") and dom.visible_bits != dom.bit("false")
     with pytest.raises(ValueError):
-        is_instantiated(net, "Z", "true")
+        net.domain("Z")
 
 
 def test_values_outside_the_declared_domain_are_never_visible_or_instantiated():
     """A pinned variable is instantiated to its one visible value only; a
-    value it never declared is neither visible nor its instantiation."""
+    value it never declared is never visible, and its bit is 0, which no
+    rule condition carries, so no condition on it ever holds."""
     net = bool_net("A")
     dom = net.domains["A"]
-    assert not dom.is_visible("bogus") and not is_instantiated(net, "A", "bogus")
+    assert dom.bit("bogus") == 0
+    assert "bogus" not in dom.visible() and dom.visible_bits != dom.bit("bogus")
     mask_value(net, "A", "false", "M1")
-    assert is_instantiated(net, "A", "true")
-    assert not dom.is_visible("bogus") and not is_instantiated(net, "A", "bogus")
+    assert dom.visible_bits == dom.bit("true")
+    assert "bogus" not in dom.visible()
     mask_value(net, "A", "true", "M2")
-    assert not dom.is_visible("bogus") and not is_instantiated(net, "A", "bogus")
+    assert dom.visible() == () and dom.visible_bits == 0
     with pytest.raises(ValueError, match="unknown variable"):
-        is_instantiated(net, "Z", "bogus")
+        net.domain("Z")
 
 
 def test_snapshot_rollback_restores_everything():

@@ -13,7 +13,7 @@ from dyncsp import (
     generate,
     propagate,
 )
-from dyncsp.core import is_instantiated, mask_value
+from dyncsp.core import mask_value
 from dyncsp.dynamics import set_active
 from dyncsp.engine import fire_rule, rule_applicable
 
@@ -101,7 +101,7 @@ def test_fire_rule_without_shrink_leaves_no_trace():
     # N1 already emptied C of "true"; the parallel N2 rule has nothing left
     rule = ("N2", 2)
     (lit,) = net.rules["N2"][1].conditions
-    assert is_instantiated(net, lit.variable, lit.value)
+    assert net.domains[lit.variable].visible() == (lit.value,)
     assert not rule_applicable(net, rule)
     events = len(net.events)
     record = fire_rule(net, rule)
@@ -178,7 +178,7 @@ def test_asserting_while_frozen_still_pins_and_reports_standing_conflict():
     assert out.status == "conflict"
     assert out.conflict[0] == "E4"
     assert "M9" in net.observations
-    assert not net.domains["E1"].is_visible("false")
+    assert "false" not in net.domains["E1"].visible()
 
 
 def test_duplicate_observation_id_raises():

@@ -27,9 +27,8 @@ assignment to the OR of the bits of its supporting tuples. That union is
 the exact projection of each unassigned variable, so ``generate`` reads
 its conclusions from it, and ``verify_rules`` decides cr1 and cr2, and
 reads a cr1 witness's expected values, by comparing it with one closure
-per consistent start. When both hold at every start, cr3 follows from
-the chaotic-iteration theorem, and firing orders are sampled only
-otherwise.
+per consistent start. Where cr2 holds at every start, cr3 follows (see
+``_verify``), so firing orders are sampled only where cr2 fails.
 
 Two shortcuts rest on one chaining lemma: a state that no rule can
 shrink and that lies inside a chain's start stays inside every state of
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 
 from .core import (
     BoundRules,
-    ConditionLiteral,
     ExtensionalConstraint,
     PropagationRule,
     RuleTemplate,
@@ -63,7 +61,7 @@ DomainMap = dict[VariableId, tuple[Value, ...]]
 # (condition field mask, condition bits, keep mask, rule); see _Layout. ``generate``
 # packs a candidate's (assignment, conclusions) and builds only the rules it keeps.
 _Packed = tuple[int, int, int, object]
-# cr3 tries this many seeded firing orders per start when cr1 or cr2 fails
+# cr3 tries this many seeded firing orders per start when cr2 fails
 _ORDERS = 10
 _SEED = 0
 
@@ -128,7 +126,7 @@ class _Layout:
     def pack(self, rules) -> list[_Packed]:
         packed = []
         for rule in rules:
-            used = {lit.variable for lit in rule.conditions} | {var for var, _ in rule.conclusions}
+            used = {var for var, _ in (*rule.conditions, *rule.conclusions)}
             if not used <= self.fields.keys():
                 raise ValueError(f"rule {rule.id!r} uses an undeclared variable")
             cm = cb = 0
@@ -285,7 +283,7 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemp
             id=f"{cid}.R{i}",
             owner=cid,
             index=i,
-            conditions=tuple(ConditionLiteral(var, value) for var, value in assignment.items()),
+            conditions=tuple(assignment.items()),
             conclusions=conclusions,
         )
         for i, (assignment, conclusions) in enumerate(_minimize(packed, layout), start=1)
@@ -360,12 +358,18 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
     """The four criteria for ``rules`` against ``constraint``, checked in full.
 
     One closure per consistent start decides cr1 and cr2 against the
-    support table. If both hold at every consistent start, no closure
-    empties a domain, so every firing order reaches the same fixpoint
-    (Apt, "The essence of constraint propagation", 1999) and cr3 holds
-    without sampling. Only otherwise does cr3 try 10 firing orders per
-    start, drawn from seed 0. By the chaining lemma (see the module
-    docstring) the forbidden full assignments need no pass of their own.
+    support table. If cr2 holds at every consistent start S, every state
+    that a firing order reaches from S keeps each value of S's supporting
+    tuples, by induction over the firings: a rule fires only where its
+    conditions C name values that all those tuples have, so S with C is a
+    consistent start with the same supports, and its closure keeps those
+    values, satisfies C and is a fixpoint, so it lies inside the rule's
+    keep mask. So no domain empties, every firing order reaches the same
+    fixpoint (Apt, "The essence of constraint propagation", 1999) and cr3
+    holds without sampling. Only where cr2 fails does cr3 try 10 firing
+    orders per start, drawn from seed 0. By the chaining lemma (see the
+    module docstring) the forbidden full assignments need no pass of
+    their own.
     """
     scope = constraint.scope
     layout, table = _prepare(constraint, declared)
@@ -395,7 +399,7 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
             cr2 = _unsound(packed, constraint, layout, assignment, start)
         if cr1 and cr2:
             break
-    if cr1 or cr2:
+    if cr2:
         consistent = [
             assignment
             for assignment, key, _ in _candidate_assignments(layout, len(scope))
@@ -473,7 +477,7 @@ def _check_irredundancy(packed, layout) -> CriterionResult:
                 False,
                 {
                     "rule": rule.id,
-                    "conditions": [[lit.variable, lit.value] for lit in rule.conditions],
+                    "conditions": [[var, value] for var, value in rule.conditions],
                     "reason": "the conditions can never hold together",
                 },
             )
@@ -496,7 +500,7 @@ def format_rule(rule: PropagationRule) -> str:
     )
     if not rule.conditions:
         return f"R{rule.index}: ALWAYS {conclusions}"
-    conditions = " AND ".join(f"{lit.variable}={lit.value}" for lit in rule.conditions)
+    conditions = " AND ".join(f"{var}={value}" for var, value in rule.conditions)
     return f"R{rule.index}: IF {conditions} THEN {conclusions}"
 
 

@@ -58,13 +58,6 @@ def cause_key(cause: Cause) -> tuple[bool, Cause]:
     return (isinstance(cause, str), cause)
 
 
-class ConditionLiteral(NamedTuple):
-    """An instantiation test: holds iff the visible domain is exactly {value}."""
-
-    variable: VariableId
-    value: Value
-
-
 @dataclass(slots=True)
 class FiniteDomain:
     """One variable's whole record: declared values, masks and watch list.
@@ -143,15 +136,16 @@ class ExtensionalConstraint:
 class PropagationRule:
     """A ground rule compiled from one constraint.
 
-    When every condition variable is instantiated to its condition value,
-    each conclusion variable may keep only the listed values. ``index`` is
-    the 1-based position in the owner's canonical rule order.
+    Each condition is a ``(variable, value)`` pair that holds when the
+    variable's visible domain is exactly ``{value}``. When every condition
+    holds, each conclusion variable may keep only the listed values.
+    ``index`` is the 1-based position in the owner's canonical rule order.
     """
 
     id: RuleId
     owner: ConstraintId
     index: int
-    conditions: tuple[ConditionLiteral, ...]
+    conditions: tuple[tuple[VariableId, Value], ...]
     conclusions: tuple[tuple[VariableId, tuple[Value, ...]], ...]
 
 
@@ -267,17 +261,12 @@ class BoundRules(Sequence):
             self._rules = template.rules
         elif self._rules is None:
             rename = dict(zip(template.scope, self.scope))
-            literals = {
-                (var, v): ConditionLiteral(rename[var], v)
-                for var, dom in zip(template.scope, template.domains)
-                for v in dom
-            }
             self._rules = tuple([
                 PropagationRule(
                     f"{owner}.R{rule.index}",
                     owner,
                     rule.index,
-                    tuple([literals[lit] for lit in rule.conditions]),
+                    tuple([(rename[var], value) for var, value in rule.conditions]),
                     tuple([(rename[var], vals) for var, vals in rule.conclusions]),
                 )
                 for rule in template.rules

@@ -112,9 +112,7 @@ class Report:
         return payload
 
     def to_json(self, *, timestamp: bool = False) -> str:
-        parts: list[str] = []
-        _write_json(self.to_payload(timestamp=timestamp), "", parts)
-        return "".join(parts)
+        return _json(self.to_payload(timestamp=timestamp), "")
 
     def to_text(self) -> str:
         lines: list[str] = []
@@ -127,34 +125,20 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _write_json(value, indent: str, parts: list[str]) -> None:
-    """Append ``value`` as ``json.dumps(value, indent=2)`` writes it, keys str only."""
+def _json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, keys str only."""
     if isinstance(value, str):
-        parts.append(_quote(value))
-    elif isinstance(value, int) and not isinstance(value, bool):
-        parts.append(int.__repr__(value))
-    elif not isinstance(value, (list, tuple, dict)) or not value:
-        parts.append(json.dumps(value))  # true, false, null, floats, [] and {}
-    else:
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if isinstance(value, dict):
-            head = "{\n" + inner
-            for key, item in value.items():
-                parts.append(head + _quote(key) + ": ")  # TypeError on a key that is not a str
-                _write_json(item, inner, parts)
-                head = sep
-            parts.append("\n" + indent + "}")
-            return
-        try:  # a list of strings only: _quote raises TypeError at any other item
-            parts.append("[\n" + inner + sep.join(map(_quote, value)) + "\n" + indent + "]")
-        except TypeError:
-            head = "[\n" + inner
-            for item in value:
-                parts.append(head)
-                _write_json(item, inner, parts)
-                head = sep
-            parts.append("\n" + indent + "]")
+        return _quote(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return json.dumps(value)  # true, false, null, floats, [] and {}
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):  # _quote raises TypeError on a key that is not a str
+        items = sep.join([_quote(key) + ": " + _json(item, inner) for key, item in value.items()])
+        return "{\n" + inner + items + "\n" + indent + "}"
+    return "[\n" + inner + sep.join([_json(item, inner) for item in value]) + "\n" + indent + "]"
 
 
 def _set_text(ids: list[str]) -> str:

@@ -26,7 +26,7 @@ from dyncsp.compiler import (
     closure,
     format_rule,
 )
-from dyncsp.core import ConditionLiteral, Network, PropagationRule, RuleTemplate
+from dyncsp.core import Network, PropagationRule, RuleTemplate
 
 from generators import faulty_layered_circuit, random_table, shared_shape_spec
 from oracles import BOOL, brute_projection, chained_fixpoint
@@ -185,7 +185,7 @@ def test_closure_matches_a_plain_set_fixpoint(case):
             f"T.R{i}",
             "T",
             i,
-            tuple(ConditionLiteral(var, value) for var, value in conditions),
+            tuple(conditions),
             tuple(conclusions),
         )
         for i, (conditions, conclusions) in enumerate(raw, start=1)
@@ -200,7 +200,7 @@ def test_closure_rejects_input_outside_the_declared_domains():
     rules = generate(and_constraint(), DECL3).rules
     with pytest.raises(ValueError, match="outside the declared domain"):
         closure(rules, {"V1": "maybe"}, DECL3)
-    stray = PropagationRule("T.R1", "T", 1, (ConditionLiteral("Z", "true"),), ())
+    stray = PropagationRule("T.R1", "T", 1, (("Z", "true"),), ())
     with pytest.raises(ValueError, match="uses an undeclared variable"):
         closure([stray], {}, DECL3)
 
@@ -231,7 +231,7 @@ def test_unsound_rule_fails_soundness_with_support_witness():
         id="C_and.X1",
         owner="C_and",
         index=len(rules) + 1,
-        conditions=(ConditionLiteral("V1", "true"),),
+        conditions=(("V1", "true"),),
         conclusions=(("V3", ("false",)),),
     )
     report = verify_rules(rules + [bogus], and_constraint(), DECL3)
@@ -270,8 +270,7 @@ def test_duplicated_rule_fails_irredundancy():
 def test_rule_that_can_never_fire_fails_irredundancy(conditions):
     c = ExtensionalConstraint("N", "not", ("A", "B"), gate_table("not", 1))
     decl = {"A": BOOL, "B": BOOL}
-    literals = tuple(ConditionLiteral(var, value) for var, value in conditions)
-    dead = PropagationRule("N.R5", "N", 5, literals, (("B", ("true",)),))
+    dead = PropagationRule("N.R5", "N", 5, tuple(conditions), (("B", ("true",)),))
     rules = generate(c, decl).rules + (dead,)
     report = verify_rules(rules, c, decl)
     assert report.cr1.passed and report.cr2.passed and report.cr3.passed
@@ -289,12 +288,12 @@ def test_order_dependent_rule_set_fails_confluence():
     racing = [
         PropagationRule(
             "C.R1", "C", 1,
-            (ConditionLiteral("A", "true"),),
+            (("A", "true"),),
             (("B", ("false",)),),
         ),
         PropagationRule(
             "C.R2", "C", 2,
-            (ConditionLiteral("B", "true"),),
+            (("B", "true"),),
             (("C", ("false",)),),
         ),
     ]
@@ -315,7 +314,7 @@ def test_confluence_orders_restart_at_the_first_rule_after_each_firing():
     decl = {"A": BOOL, "B": BOOL, "C": BOOL}
     rules = [
         PropagationRule("C.R1", "C", 1, (), (("A", ()),)),
-        PropagationRule("C.R2", "C", 2, (ConditionLiteral("A", "true"),), (("C", ()),)),
+        PropagationRule("C.R2", "C", 2, (("A", "true"),), (("C", ()),)),
         PropagationRule("C.R3", "C", 3, (), (("A", ("true",)),)),
     ]
     # after R3 fires, the restart tries R2 while A is still {true}; a sweep
@@ -335,7 +334,7 @@ def test_one_firing_removing_several_values_is_attributed_to_it():
         id="C_and.X1",
         owner="C_and",
         index=len(rules) + 1,
-        conditions=(ConditionLiteral("V3", "true"),),
+        conditions=(("V3", "true"),),
         conclusions=(("V1", ("false",)), ("V2", ("false",))),
     )
     report = verify_rules(rules + [bogus], and_constraint(), DECL3)
@@ -392,7 +391,7 @@ def test_verify_rules_rejects_the_tables_generate_rejects():
     and ``RuleTemplate``: one check decides what a table is."""
     decl = {"A": BOOL, "B": BOOL}
     rules = tuple(
-        PropagationRule(f"T.R{i}", "T", i, (ConditionLiteral(var, value),), ((other, (value,)),))
+        PropagationRule(f"T.R{i}", "T", i, ((var, value),), ((other, (value,)),))
         for i, (var, other, value) in enumerate(
             (("A", "B", "false"), ("A", "B", "true"), ("B", "A", "false"), ("B", "A", "true")),
             start=1,
@@ -493,7 +492,7 @@ def damaged_rule_set(choose):
             f"T.X{k}",
             "T",
             100 + k,
-            tuple(ConditionLiteral(var, choose(declared[var])) for var in sorted(conditions)),
+            tuple((var, choose(declared[var])) for var in sorted(conditions)),
             tuple(
                 (var, tuple(v for v in declared[var] if choose(booleans)))
                 for var in sorted(concluded)
@@ -545,7 +544,7 @@ def brute_cr1_cr2(c, declared, rules):
 def check_against_brute_force(c, declared, rules):
     """cr1 and cr2 agree with ``brute_cr1_cr2`` and their witnesses with the
     brute-force projection and supports; a failing sampled order comes with
-    either failing."""
+    a cr2 failure."""
     report = verify_rules(rules, c, declared)
     assert (report.cr1.passed, report.cr2.passed) == brute_cr1_cr2(c, declared, rules)
     if not report.cr1.passed:
@@ -571,7 +570,7 @@ def check_against_brute_force(c, declared, rules):
     ]
     sampled = _check_confluence(layout.pack(rules), layout, consistent)
     if not sampled.passed:
-        assert not (report.cr1.passed and report.cr2.passed)
+        assert not report.cr2.passed
         assert report.cr3 == sampled
 
 
@@ -582,15 +581,31 @@ def check_against_brute_force(c, declared, rules):
         table_constraint("C", ("A", "B", "C"), {("true", "true", "true")}),
         {"A": BOOL, "B": BOOL, "C": BOOL},
         [  # the racing pair of test_order_dependent_rule_set_fails_confluence
-            PropagationRule("C.R1", "C", 1, (ConditionLiteral("A", "true"),), (("B", ("false",)),)),
-            PropagationRule("C.R2", "C", 2, (ConditionLiteral("B", "true"),), (("C", ("false",)),)),
+            PropagationRule("C.R1", "C", 1, (("A", "true"),), (("B", ("false",)),)),
+            PropagationRule("C.R2", "C", 2, (("B", "true"),), (("C", ("false",)),)),
         ],
     )
 )
-def test_sampled_confluence_fails_only_where_cr1_or_cr2_fails(case):
-    """cr3 is decided by the chaotic-iteration theorem once cr1 and cr2 hold,
-    so a failing sampled order must come with a cr1 or cr2 failure."""
+def test_sampled_confluence_fails_only_where_cr2_fails(case):
+    """cr2 alone implies cr3 (see ``compiler._verify``), so a failing
+    sampled order must come with a cr2 failure."""
     check_against_brute_force(*case)
+
+
+def test_verify_samples_no_firing_order_where_only_cr1_fails(monkeypatch):
+    """Without its last rule the ``and`` set fails cr1 and keeps cr2, which
+    alone implies cr3, so verifying it samples no firing order."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compiler.CriterionResult(True)
+
+    monkeypatch.setattr(compiler, "_check_confluence", counting)
+    c = and_constraint()
+    report = verify_rules(generate(c, DECL3).rules[:-1], c, DECL3)
+    assert not report.cr1.passed and report.cr2.passed and report.cr3.passed
+    assert calls == []
 
 
 def test_seeded_damaged_rule_sets_match_the_brute_force_oracle():

@@ -18,7 +18,6 @@ from dyncsp import (
     propagate,
 )
 from dyncsp.core import (
-    ConditionLiteral,
     PropagationRule,
     RuleTemplate,
     exclude,
@@ -151,10 +150,9 @@ def test_rules_naming_values_outside_the_declared_domain_are_rejected():
     net = bool_net("A", "B", "C")
     scope = ("A", "B", "C")
     c = ExtensionalConstraint("C", "c", scope, frozenset(product(BOOL_DOMAIN, repeat=3)))
-    lit = ConditionLiteral
     for conditions, conclusions, value, var in (
-        ((lit("A", "true"),), (("B", ("true",)), ("C", ("maybe",))), "maybe", "C"),
-        ((lit("A", "yes"),), (("B", ("true",)),), "yes", "A"),
+        ((("A", "true"),), (("B", ("true",)), ("C", ("maybe",))), "maybe", "C"),
+        ((("A", "yes"),), (("B", ("true",)),), "yes", "A"),
     ):
         bad = (PropagationRule("C.R1", "C", 1, conditions, conclusions),)
         before = indexes(net)

@@ -100,8 +100,8 @@ def test_fire_rule_without_shrink_leaves_no_trace():
     assert_observation(net, Observation("M2", "Y", "true"))
     # N1 already emptied C of "true"; the parallel N2 rule has nothing left
     rule = ("N2", 2)
-    (lit,) = net.rules["N2"][1].conditions
-    assert net.domains[lit.variable].visible() == (lit.value,)
+    ((var, value),) = net.rules["N2"][1].conditions
+    assert net.domains[var].visible() == (value,)
     assert not rule_applicable(net, rule)
     events = len(net.events)
     record = fire_rule(net, rule)

@@ -28,7 +28,11 @@ the exact projection of each unassigned variable, so ``generate`` reads
 its conclusions from it, and ``verify_rules`` decides cr1 and cr2, and
 reads a cr1 witness's expected values, by comparing it with one closure
 per consistent start. Where cr2 holds at every start, cr3 follows (see
-``_verify``), so firing orders are sampled only where cr2 fails.
+``_verify``), so firing orders are sampled only where cr2 fails. The
+table's keys are the candidates: both walk them in canonical order
+(``_walk``), so no inconsistent assignment is ever tried, and an
+assignment is decoded into a dict only for a published rule's
+conditions or a witness.
 
 Two shortcuts rest on one chaining lemma: a state that no rule can
 shrink and that lies inside a chain's start stays inside every state of
@@ -59,7 +63,7 @@ from .core import (
 
 DomainMap = dict[VariableId, tuple[Value, ...]]
 # (condition field mask, condition bits, keep mask, rule); see _Layout. ``generate``
-# packs a candidate's (assignment, conclusions) and builds only the rules it keeps.
+# packs a candidate's (key, conclusions) and builds only the rules it keeps.
 _Packed = tuple[int, int, int, object]
 # cr3 tries this many seeded firing orders per start when cr2 fails
 _ORDERS = 10
@@ -86,19 +90,19 @@ def closure(
 class _Layout:
     """One bit per (variable, declared value), so one int holds every domain.
 
-    A bit is set while its value is still possible. A variable's field is
-    the mask of its bits. A rule packs into ``(cm, cb, keep, rule)``: it
-    fires on ``state`` when ``state & cm == cb``, that is when each
-    condition variable keeps exactly its condition value, and a firing
-    leaves ``state & keep``.
+    A bit is set while its value is still possible. The first declared
+    (variable, value) pair has the highest bit, so ``_walk`` can order
+    assignments by their keys. A variable's field is the mask of its bits.
+    A rule packs into ``(cm, cb, keep, rule)``: it fires on ``state`` when
+    ``state & cm == cb``, that is when each condition variable keeps
+    exactly its condition value, and a firing leaves ``state & keep``.
     """
 
     def __init__(self, declared: DomainMap):
         self.declared = declared
-        self.bits: dict[tuple[VariableId, Value], int] = {}
-        for var, vals in declared.items():
-            for value in vals:
-                self.bits.setdefault((var, value), 1 << len(self.bits))
+        pairs = dict.fromkeys((var, value) for var, vals in declared.items() for value in vals)
+        top = len(pairs) - 1
+        self.bits = {pair: 1 << (top - i) for i, pair in enumerate(pairs)}
         self.fields = dict.fromkeys(declared, 0)
         for (var, _), bit in self.bits.items():
             self.fields[var] |= bit
@@ -145,6 +149,10 @@ class _Layout:
     def values(self, state: int, var: VariableId) -> frozenset[Value]:
         return frozenset(v for v in self.declared[var] if state & self.bits[(var, v)])
 
+    def assignment(self, key: int) -> dict[VariableId, Value]:
+        """The assignment whose value bits OR to ``key``, in declared order."""
+        return {var: value for (var, value), bit in self.bits.items() if key & bit}
+
 
 def _chain(
     packed: list[_Packed],
@@ -178,41 +186,31 @@ def _chain(
     return state
 
 
-def _candidate_assignments(layout: _Layout, max_size: int):
-    """Partial assignments over the layout's scope, sizes ascending, canonically ordered.
+def _walk(layout: _Layout, table: dict[int, int], max_size: int) -> list[tuple[int, int]]:
+    """The consistent partial assignments of up to ``max_size`` variables, canonically ordered.
 
-    Within one size, candidates come in the order of their interleaved
-    sequences of (scope position, declared value index) pairs, so the
-    emitted rule order is reproducible across runs and platforms. Each
-    comes as ``(assignment, key, start)``: ``key`` is the OR of its value
-    bits, which indexes the support table, and ``start`` is the state
-    that pins it.
+    Each comes as ``(key, start)``: ``key`` indexes the support table and
+    ``start`` is the state that pins it. Sizes ascend, and within one size
+    assignments come in the order of their interleaved sequences of
+    (scope position, declared value index) pairs, so the emitted rule
+    order is reproducible across runs and platforms. The layout gives the
+    first pair the highest bit, so within one size that order is
+    descending key order; the table's own order follows the hash order of
+    the allowed tuples and is never read.
     """
-    for size in range(max_size + 1):
-        yield from _extend(layout, tuple(layout.declared), 0, size, {}, 0, 0)
-
-
-def _extend(layout: _Layout, scope, first, size, assignment, key, pinned):
-    """The candidates that add ``size`` more scope positions from ``first`` on.
-
-    A module function, not a closure that names itself, so a finished
-    walk leaves no reference cycle for the garbage collector.
-    """
-    if not size:
-        yield assignment, key, layout.full & ~pinned | key
-        return
-    for p in range(first, len(scope) - size + 1):
-        var = scope[p]
-        for value in layout.declared[var]:
-            yield from _extend(
-                layout,
-                scope,
-                p + 1,
-                size - 1,
-                {**assignment, var: value},
-                key | layout.bits[(var, value)],
-                pinned | layout.fields[var],
-            )
+    keys = sorted(table, reverse=True)
+    keys.sort(key=int.bit_count)
+    fields = tuple(layout.fields.values())
+    walk = []
+    for key in keys:
+        if key.bit_count() > max_size:
+            break
+        assigned = 0
+        for field in fields:
+            if key & field:
+                assigned |= field
+        walk.append((key, layout.full & ~assigned | key))
+    return walk
 
 
 def _prepare(
@@ -262,31 +260,30 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemp
     scope, cid = constraint.scope, constraint.id
     layout, table = _prepare(constraint, declared)
     packed: list[_Packed] = []
-    for assignment, key, start in _candidate_assignments(layout, len(scope) - 1):
-        union = table.get(key)
-        if union is None:
-            continue
+    for key, start in _walk(layout, table, len(scope) - 1):
+        union = table[key]
+        assigned = layout.full & ~start | key  # the fields of the assigned variables
         # the projections that actually restrict an unassigned variable
         conclusions = tuple(
             (var, tuple(v for v in layout.declared[var] if union & layout.bits[(var, v)]))
-            for var in scope
-            if var not in assignment and layout.fields[var] & ~union
+            for var, field in layout.fields.items()
+            if not field & assigned and field & ~union
         )
         if not conclusions:
             continue
         keep = layout.keep(conclusions)
         if not _chain(packed, start) & ~keep:
             continue  # the rules so far establish it
-        packed.append((layout.full & ~start | key, key, keep, (assignment, conclusions)))
+        packed.append((assigned, key, keep, (key, conclusions)))
     rules = tuple(
         PropagationRule(
             id=f"{cid}.R{i}",
             owner=cid,
             index=i,
-            conditions=tuple(assignment.items()),
+            conditions=tuple(layout.assignment(key).items()),
             conclusions=conclusions,
         )
-        for i, (assignment, conclusions) in enumerate(_minimize(packed, layout), start=1)
+        for i, (key, conclusions) in enumerate(_minimize(packed, layout), start=1)
     )
     return RuleTemplate(constraint, tuple(layout.declared.values()), rules)
 
@@ -375,10 +372,9 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
     layout, table = _prepare(constraint, declared)
     packed = layout.pack(rules)
     cr1 = cr2 = None
-    for assignment, key, start in _candidate_assignments(layout, len(scope)):
-        union = table.get(key)
-        if union is None:
-            continue
+    walk = _walk(layout, table, len(scope))
+    for key, start in walk:
+        union = table[key]
         state = _chain(packed, start)
         if state == union:
             continue
@@ -389,23 +385,18 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
             cr1 = CriterionResult(
                 False,
                 {
-                    "start": dict(assignment),
+                    "start": layout.assignment(key),
                     "variable": var,
                     "expected": sorted(layout.values(union, var)),
                     "actual": sorted(layout.values(state, var)),
                 },
             )
         if not cr2 and union & ~state:
-            cr2 = _unsound(packed, constraint, layout, assignment, start)
+            cr2 = _unsound(packed, constraint, layout, key, start)
         if cr1 and cr2:
             break
     if cr2:
-        consistent = [
-            assignment
-            for assignment, key, _ in _candidate_assignments(layout, len(scope))
-            if key in table
-        ]
-        cr3 = _check_confluence(packed, layout, consistent)
+        cr3 = _check_confluence(packed, layout, walk)
     else:
         cr3 = CriterionResult(True)
     return VerificationReport(
@@ -416,7 +407,7 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
     )
 
 
-def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
+def _unsound(packed, constraint, layout, key, start) -> CriterionResult:
     """The cr2 witness at a start whose closure removes a supported value.
 
     It names the first supporting tuple, in sorted order, and its first
@@ -436,7 +427,7 @@ def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
     return CriterionResult(
         False,
         {
-            "start": dict(assignment),
+            "start": layout.assignment(key),
             "tuple": list(support),
             "variable": var,
             "value": value,
@@ -445,10 +436,10 @@ def _unsound(packed, constraint, layout, assignment, start) -> CriterionResult:
     )
 
 
-def _check_confluence(packed, layout, consistent) -> CriterionResult:
+def _check_confluence(packed, layout, starts) -> CriterionResult:
+    """cr3 by seeded firing orders from each ``(key, start)`` of ``starts``."""
     rng = random.Random(_SEED)
-    for assignment in consistent:
-        start = layout.pin(assignment)
+    for key, start in starts:
         reference = _chain(packed, start, first_only=True)
         for _ in range(_ORDERS):
             order = rng.sample(packed, len(packed))
@@ -459,7 +450,7 @@ def _check_confluence(packed, layout, consistent) -> CriterionResult:
                 return CriterionResult(
                     False,
                     {
-                        "start": dict(assignment),
+                        "start": layout.assignment(key),
                         "order": [rule.id for _, _, _, rule in order],
                         "variable": diff,
                         "expected": sorted(layout.values(reference, diff)),

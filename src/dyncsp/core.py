@@ -65,11 +65,12 @@ class FiniteDomain:
     The declared tuple never changes; all narrowing happens through
     ``mask``, which maps each hidden value to the set of causes hiding it.
     ``visible_bits`` mirrors the mask as one int: bit i is set iff
-    ``declared[i]`` is visible, the per-variable bit order of the
-    compiler's ``_Layout``. ``hide`` and ``unhide`` are the only writers of
-    both, so the variable is instantiated to a value exactly when
-    ``visible_bits`` equals that value's :meth:`bit`. ``occurrences`` is
-    the watch list: the variable's (constraint, scope position) pairs.
+    ``declared[i]`` is visible, as in :class:`RuleTemplate`; the
+    compiler's ``_Layout`` orders a variable's bits the other way round.
+    ``hide`` and ``unhide`` are the only writers of both, so the variable
+    is instantiated to a value exactly when ``visible_bits`` equals that
+    value's :meth:`bit`. ``occurrences`` is the watch list: the
+    variable's (constraint, scope position) pairs.
     """
 
     variable: VariableId
@@ -221,7 +222,9 @@ def check_table(constraint: ExtensionalConstraint, domains: tuple) -> None:
     """Reject a table that is no relation over ``domains``, the declared values per scope position.
 
     ``generate``, ``verify_rules`` and ``RuleTemplate`` all check a table
-    here, so they reject the same tables with the same messages.
+    here, so they reject the same tables with the same messages. Of
+    several bad tuples the message names the first by ``repr``, not by
+    the hash order of ``allowed``, so it is the same on every run.
     """
     cid, scope = constraint.id, tuple(constraint.scope)
     if len(set(scope)) != len(scope):
@@ -230,14 +233,19 @@ def check_table(constraint: ExtensionalConstraint, domains: tuple) -> None:
         raise ValueError(f"constraint {cid!r} needs {len(scope)} domains, not {len(domains)}")
     if not constraint.allowed:
         raise ValueError(f"constraint {cid!r} allows no tuples")
-    for tup in constraint.allowed:
+
+    def fault(tup) -> str | None:
         if len(tup) != len(scope):
-            raise ValueError(f"constraint {cid!r} has a tuple of wrong arity: {tup!r}")
+            return f"has a tuple of wrong arity: {tup!r}"
         for var, value, declared in zip(scope, tup, domains):
             if value not in declared:
-                raise ValueError(
-                    f"constraint {cid!r} tuple value {value!r} is outside the domain of {var!r}"
-                )
+                return f"tuple value {value!r} is outside the domain of {var!r}"
+        return None
+
+    if any(map(fault, constraint.allowed)):
+        # repr orders tuples of any value types, where plain sorting may raise
+        first = next(filter(None, map(fault, sorted(constraint.allowed, key=repr))))
+        raise ValueError(f"constraint {cid!r} {first}")
 
 
 class BoundRules(Sequence):

@@ -79,10 +79,12 @@ def test_run_reports_match_the_golden_bytes(name, network, script, code, capsys)
         assert capsys.readouterr().out == expected, (name, fmt)
 
 
-@pytest.mark.parametrize("name", ["circuit0", "circuit1"])
+@pytest.mark.parametrize("name", ["circuit0", "circuit1", "tables"])
 def test_rule_dumps_and_verify_lines_match_the_golden_bytes(name, capsys):
     """``compile --dump-rules`` and ``verify`` print exactly the committed
-    bytes, including the rules renamed onto gates that share a template."""
+    bytes, including the rules renamed onto gates that share a template;
+    ``tables`` pins the rule order of tables of arity 3-5 over two- and
+    three-valued domains."""
     network = str(FIXTURES / f"{name}.net")
     for argv, suffix in ((["compile", network, "--dump-rules"], "rules"), (["verify", network], "verify")):
         assert main(argv) == 0
@@ -184,10 +186,18 @@ def test_verify_fails_and_prints_each_witness_when_rules_are_missing(monkeypatch
     monkeypatch.setattr(dyncsp.runner, "generate", short)
     assert main(["verify", CIRCUIT0]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
-    for cid, line, witness in zip(("O1", "O2", "A1", "O3"), lines[::2], lines[1::2]):
-        assert line == f"{cid}: cr1=FAIL cr2=pass cr3=pass cr4=pass"
-        assert witness.startswith("  cr1 witness: {'start': ")
+    # the start's keys come in scope order
+    witnesses = {
+        "O1": "{'start': {'E2': 'false', 'X': 'true'}, 'variable': 'E1', 'expected': ['true'], 'actual': ['false', 'true']}",
+        "O2": "{'start': {'E3': 'false', 'Y': 'true'}, 'variable': 'E2', 'expected': ['true'], 'actual': ['false', 'true']}",
+        "A1": "{'start': {'Y': 'true', 'Z': 'false'}, 'variable': 'X', 'expected': ['false'], 'actual': ['false', 'true']}",
+        "O3": "{'start': {'E4': 'false', 'S1': 'true'}, 'variable': 'Z', 'expected': ['true'], 'actual': ['false', 'true']}",
+    }
+    assert lines == [
+        line
+        for cid, witness in witnesses.items()
+        for line in (f"{cid}: cr1=FAIL cr2=pass cr3=pass cr4=pass", f"  cr1 witness: {witness}")
+    ]
 
 
 def test_missing_file_exits_with_a_usage_error(capsys):

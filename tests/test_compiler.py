@@ -20,9 +20,10 @@ from dyncsp import (
     verify_rules,
 )
 from dyncsp.compiler import (
-    _candidate_assignments,
     _check_confluence,
     _Layout,
+    _prepare,
+    _walk,
     closure,
     format_rule,
 )
@@ -513,6 +514,54 @@ def supports(c, start):
     return sorted(row for row in c.allowed if all(row[pos[v]] == val for v, val in start.items()))
 
 
+def canonical_assignments(c, declared):
+    """The consistent partial assignments of ``c``, sizes ascending, in canonical order.
+
+    Within one size the order is that of the interleaved sequences of
+    (scope position, declared value index) pairs. ``combinations`` of all
+    such pairs, listed in that order, come in exactly that order; those
+    with one pair per position are the partial assignments.
+    """
+    pairs = [(p, i) for p, var in enumerate(c.scope) for i in range(len(declared[var]))]
+    consistent = []
+    for size in range(len(c.scope) + 1):
+        for combo in combinations(pairs, size):
+            if len({p for p, _ in combo}) == size:
+                assignment = {c.scope[p]: declared[c.scope[p]][i] for p, i in combo}
+                if supports(c, assignment):
+                    consistent.append(assignment)
+    return consistent
+
+
+@st.composite
+def random_tables(draw):
+    """A non-empty table of arity 1-5 over domains of 2 or 3 values, in varied declared orders."""
+    scope = ("V1", "V2", "V3", "V4", "V5")[: draw(st.integers(1, 5))]
+    orders = (("a", "b"), ("b", "a"), ("a", "b", "c"), ("c", "a", "b"))
+    declared = {var: draw(st.sampled_from(orders)) for var in scope}
+    universe = list(product(*(declared[var] for var in scope)))
+    rows = draw(st.sets(st.sampled_from(universe), min_size=1))
+    return table_constraint("T", scope, rows), declared
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_tables())
+def test_the_walk_yields_the_consistent_assignments_in_canonical_order(case):
+    """The support table's keys, walked, are exactly the consistent partial
+    assignments, each with the start that pins it; a smaller size bound
+    cuts the walk at that size."""
+    c, declared = case
+    layout, table = _prepare(c, declared)
+    expected = canonical_assignments(c, declared)
+    walk = _walk(layout, table, len(c.scope))
+    assert [list(layout.assignment(key).items()) for key, _ in walk] == [
+        list(assignment.items()) for assignment in expected
+    ]
+    assert [start for _, start in walk] == [layout.pin(assignment) for assignment in expected]
+    shorter = _walk(layout, table, len(c.scope) - 1)
+    assert shorter == [(key, start) for key, start in walk if key.bit_count() < len(c.scope)]
+
+
 def raw_rules(rules):
     return [(list(rule.conditions), list(rule.conclusions)) for rule in rules]
 
@@ -563,12 +612,11 @@ def check_against_brute_force(c, declared, rules):
         )
         assert (witness["tuple"], witness["variable"], witness["value"]) == (list(row), var, value)
     layout = _Layout(declared)
-    consistent = [
-        assignment
-        for assignment, _, _ in _candidate_assignments(layout, len(c.scope))
-        if supports(c, assignment)
+    starts = [
+        (sum(layout.bits[pair] for pair in assignment.items()), layout.pin(assignment))
+        for assignment in canonical_assignments(c, declared)
     ]
-    sampled = _check_confluence(layout.pack(rules), layout, consistent)
+    sampled = _check_confluence(layout.pack(rules), layout, starts)
     if not sampled.passed:
         assert not report.cr2.passed
         assert report.cr3 == sampled
@@ -771,8 +819,7 @@ def test_bound_rules_read_as_the_tuple_generate_makes(monkeypatch):
 
 
 def test_generate_and_verify_leave_no_garbage_cycles():
-    """The candidate walk is not a closure that names itself, so a
-    compile and a check leave nothing for the cyclic garbage collector."""
+    """A compile and a check leave nothing for the cyclic garbage collector."""
     c = ExtensionalConstraint("X", "and", ("A", "B", "C"), gate_table("and", 2))
     declared = dict.fromkeys("ABC", BOOL)
     gc.collect()

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from copy import deepcopy
 from dataclasses import fields, replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyncsp
 from dyncsp import (
     BOOL_DOMAIN,
     ExtensionalConstraint,
@@ -83,6 +88,33 @@ def test_add_constraint_validates_scope_and_tuples():
     for rejected in (bad_scope, bad_var, bad_value, empty, short):
         assert rejected.template is None and rejected.domains == (), rejected.id
     assert all(dom is net.domains[var] for dom, var in zip(net.constraints["C1"].domains, "AB"))
+
+
+# five bad tuples, one short and one holding an int, so plain sorting would raise
+SEVERAL_BAD_TUPLES = """\
+from dyncsp import ExtensionalConstraint
+from dyncsp.core import check_table
+rows = {("a", "a"), ("s", "a"), ("a", 3), ("q",), ("r", "s"), ("a", "zz")}
+try:
+    check_table(ExtensionalConstraint("T", "t", ("A", "B"), frozenset(rows)), (("a", "b"),) * 2)
+except ValueError as error:
+    print(error)
+"""
+
+
+def test_check_table_names_the_first_bad_tuple_by_repr_under_every_hash_seed():
+    """The hash seed orders the table's frozenset; the message does not
+    depend on it."""
+    src = str(Path(dyncsp.__file__).resolve().parent.parent)
+    for seed in range(4):
+        out = subprocess.run(
+            [sys.executable, "-c", SEVERAL_BAD_TUPLES],
+            capture_output=True,
+            check=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        assert out == "constraint 'T' tuple value 'zz' is outside the domain of 'B'\n", seed
 
 
 def indexes(net):

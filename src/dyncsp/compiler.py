@@ -21,18 +21,23 @@ firing and a shrink test are each one or two integer operations.
 
 Both check the table with ``core.check_table``, as ``RuleTemplate``
 does, so they reject the same tables with the same messages, and every
-tuple value has a bit. Both also read a support table, built once per
-call from the allowed tuples: it maps every consistent partial
-assignment to the OR of the bits of its supporting tuples. That union is
-the exact projection of each unassigned variable, so ``generate`` reads
-its conclusions from it, and ``verify_rules`` decides cr1 and cr2, and
-reads a cr1 witness's expected values, by comparing it with one closure
-per consistent start. Where cr2 holds at every start, cr3 follows (see
-``_verify``), so firing orders are sampled only where cr2 fails. The
-table's keys are the candidates: both walk them in canonical order
-(``_walk``), so no inconsistent assignment is ever tried, and an
-assignment is decoded into a dict only for a published rule's
-conditions or a witness.
+tuple value has a bit. Both also read a support table, built from the
+allowed tuples: it maps every consistent partial assignment to the OR of
+the bits of its supporting tuples. That union is the exact projection of
+each unassigned variable, so ``generate`` reads its conclusions from it,
+and ``verify_rules`` decides cr1 and cr2, and reads a cr1 witness's
+expected values, by comparing it with one closure per consistent start.
+Where cr2 holds at every start, cr3 follows (see ``_verify``), so firing
+orders are sampled only where cr2 fails. The table's keys are the
+candidates: both walk them in canonical order (``_walk``), so no
+inconsistent assignment is ever tried, and an assignment is decoded into
+a dict only for a published rule's conditions or a witness.
+
+The table and its walk are built once per shape: ``generate`` keeps the
+walk on the template it returns, and ``verify_rules`` reads it for the
+one check of that template's own rules, then drops it. The walk depends
+only on the template's checked tuples and domains, and the check still
+packs the published rules itself. Every other check builds its own.
 
 Two shortcuts rest on one chaining lemma: a state that no rule can
 shrink and that lies inside a chain's start stays inside every state of
@@ -186,30 +191,29 @@ def _chain(
     return state
 
 
-def _walk(layout: _Layout, table: dict[int, int], max_size: int) -> list[tuple[int, int]]:
-    """The consistent partial assignments of up to ``max_size`` variables, canonically ordered.
+def _walk(layout: _Layout, table: dict[int, int]) -> list[tuple[int, int, int]]:
+    """The consistent partial assignments, canonically ordered.
 
-    Each comes as ``(key, start)``: ``key`` indexes the support table and
-    ``start`` is the state that pins it. Sizes ascend, and within one size
-    assignments come in the order of their interleaved sequences of
-    (scope position, declared value index) pairs, so the emitted rule
-    order is reproducible across runs and platforms. The layout gives the
-    first pair the highest bit, so within one size that order is
-    descending key order; the table's own order follows the hash order of
-    the allowed tuples and is never read.
+    Each comes as ``(key, start, union)``: ``key`` indexes the support
+    table, ``start`` is the state that pins it and ``union`` is its entry
+    in the table. Sizes ascend, and within one size assignments come in
+    the order of their interleaved sequences of (scope position, declared
+    value index) pairs, so the emitted rule order is reproducible across
+    runs and platforms. The layout gives the first pair the highest bit,
+    so within one size that order is descending key order; the table's
+    own order follows the hash order of the allowed tuples and is never
+    read.
     """
     keys = sorted(table, reverse=True)
     keys.sort(key=int.bit_count)
     fields = tuple(layout.fields.values())
     walk = []
     for key in keys:
-        if key.bit_count() > max_size:
-            break
         assigned = 0
         for field in fields:
             if key & field:
                 assigned |= field
-        walk.append((key, layout.full & ~assigned | key))
+        walk.append((key, layout.full & ~assigned | key, table[key]))
     return walk
 
 
@@ -257,12 +261,14 @@ def _rederived(packed: list[_Packed], item: _Packed, layout: _Layout) -> bool:
 
 def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemplate:
     """Compile ``constraint`` into its validated template of minimal canonical rules."""
-    scope, cid = constraint.scope, constraint.id
+    cid = constraint.id
     layout, table = _prepare(constraint, declared)
+    walk = _walk(layout, table)
     packed: list[_Packed] = []
-    for key, start in _walk(layout, table, len(scope) - 1):
-        union = table[key]
+    for key, start, union in walk:
         assigned = layout.full & ~start | key  # the fields of the assigned variables
+        if assigned == layout.full:
+            break  # the full assignments come last, and they conclude nothing
         # the projections that actually restrict an unassigned variable
         conclusions = tuple(
             (var, tuple(v for v in layout.declared[var] if union & layout.bits[(var, v)]))
@@ -285,7 +291,9 @@ def generate(constraint: ExtensionalConstraint, declared: DomainMap) -> RuleTemp
         )
         for i, (key, conclusions) in enumerate(_minimize(packed, layout), start=1)
     )
-    return RuleTemplate(constraint, tuple(layout.declared.values()), rules)
+    template = RuleTemplate(constraint, tuple(layout.declared.values()), rules)
+    template.walk = walk
+    return template
 
 
 def _minimize(packed: list[_Packed], layout: _Layout) -> list:
@@ -332,7 +340,8 @@ def verify_rules(
     constraint has the template's allowed tuples and declared domains,
     are the template's own rules with the scope variables renamed, and
     renaming changes no criterion. So the template's own rules are
-    checked once, the report is kept on the template, and a passing
+    checked once, against the walk ``generate`` kept on a template it
+    built, the report is kept on the template, and a passing
     report stands for every such constraint without reading, and so
     renaming, its bound rules. A failing one does not: the constraint's
     own rules are then checked, so the witnesses name its variables.
@@ -345,15 +354,22 @@ def verify_rules(
             if template.report is None:
                 own = ExtensionalConstraint(template.owner, "", template.scope, template.allowed)
                 own_declared = dict(zip(template.scope, template.domains))
-                template.report = _verify(template.rules, own, own_declared)
+                template.report = _verify(template.rules, own, own_declared, template.walk)
+                template.walk = None
             if template.report.passed:
                 return template.report
     return _verify(rules, constraint, declared)
 
 
-def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> VerificationReport:
+def _verify(
+    rules, constraint: ExtensionalConstraint, declared: DomainMap, walk=None
+) -> VerificationReport:
     """The four criteria for ``rules`` against ``constraint``, checked in full.
 
+    ``walk`` is the canonical walk of the support table, built here unless
+    the caller has one: a generated template keeps the walk ``generate``
+    built, over the same tuples, domains and layout, which
+    ``RuleTemplate`` has checked. The rules are packed here in either case.
     One closure per consistent start decides cr1 and cr2 against the
     support table. If cr2 holds at every consistent start S, every state
     that a firing order reaches from S keeps each value of S's supporting
@@ -369,12 +385,14 @@ def _verify(rules, constraint: ExtensionalConstraint, declared: DomainMap) -> Ve
     their own.
     """
     scope = constraint.scope
-    layout, table = _prepare(constraint, declared)
+    if walk is None:
+        layout, table = _prepare(constraint, declared)
+        walk = _walk(layout, table)
+    else:
+        layout = _Layout(declared)
     packed = layout.pack(rules)
     cr1 = cr2 = None
-    walk = _walk(layout, table, len(scope))
-    for key, start in walk:
-        union = table[key]
+    for key, start, union in walk:
         state = _chain(packed, start)
         if state == union:
             continue
@@ -436,10 +454,10 @@ def _unsound(packed, constraint, layout, key, start) -> CriterionResult:
     )
 
 
-def _check_confluence(packed, layout, starts) -> CriterionResult:
-    """cr3 by seeded firing orders from each ``(key, start)`` of ``starts``."""
+def _check_confluence(packed, layout, walk) -> CriterionResult:
+    """cr3 by seeded firing orders from each start of ``walk``."""
     rng = random.Random(_SEED)
-    for key, start in starts:
+    for key, start, _ in walk:
         reference = _chain(packed, start, first_only=True)
         for _ in range(_ORDERS):
             order = rng.sample(packed, len(packed))

@@ -169,6 +169,10 @@ class RuleTemplate:
     must be named ``"{owner}.R{i}"``, so ids are unique by construction.
     ``report`` is where ``verify_rules`` keeps its one check of the
     template's own rules, which holds for every constraint of the shape.
+    ``walk`` is the compiler's canonical walk of the support table that
+    ``generate`` built for these rules, kept for that check. The check
+    drops it once ``report`` is kept, and a hand-built template has none,
+    so its check builds its own.
     """
 
     def __init__(self, constraint: ExtensionalConstraint, domains: tuple, rules: tuple):
@@ -178,6 +182,7 @@ class RuleTemplate:
         self.owner, self.scope, self.allowed = cid, scope, allowed
         self.domains, self.rules = domains, rules
         self.report = None
+        self.walk: list[tuple[int, int, int]] | None = None
         self.packed: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
         self.conditioned: list[dict[int, list[int]]] = [{} for _ in scope]
         self.excluding: list[dict[int, list[int]]] = [{} for _ in scope]
@@ -221,6 +226,9 @@ class RuleTemplate:
 def check_table(constraint: ExtensionalConstraint, domains: tuple) -> None:
     """Reject a table that is no relation over ``domains``, the declared values per scope position.
 
+    A declared domain must not repeat a value, since each value names one
+    bit, and each value in a rule's conclusions is one value kept.
+
     ``generate``, ``verify_rules`` and ``RuleTemplate`` all check a table
     here, so they reject the same tables with the same messages. Of
     several bad tuples the message names the first by ``repr``, not by
@@ -231,6 +239,10 @@ def check_table(constraint: ExtensionalConstraint, domains: tuple) -> None:
         raise ValueError(f"constraint {cid!r} repeats a scope variable")
     if len(domains) != len(scope):
         raise ValueError(f"constraint {cid!r} needs {len(scope)} domains, not {len(domains)}")
+    for var, declared in zip(scope, domains):
+        if len(set(declared)) != len(declared):
+            value = next(v for i, v in enumerate(declared) if v in declared[:i])
+            raise ValueError(f"constraint {cid!r} repeats value {value!r} in the domain of {var!r}")
     if not constraint.allowed:
         raise ValueError(f"constraint {cid!r} allows no tuples")
 

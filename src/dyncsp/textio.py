@@ -262,6 +262,7 @@ def _parse_table(cur: _Cursor, domains, constraint_ids) -> TableDecl:
         raise cur.error(f"table {cid!r} has an empty scope")
     cur.expect(":")
     rows: list[tuple[str, ...]] = []
+    seen: set[tuple[str, ...]] = set()  # the rows, for an O(1) repeat test
     while cur.peek() is not None and cur.peek() != NORELAX:
         cur.expect("(")
         row: list[str] = []
@@ -273,9 +274,11 @@ def _parse_table(cur: _Cursor, domains, constraint_ids) -> TableDecl:
                 raise cur.error(f"value {value!r} is outside the domain of {var!r}", cur.column)
             row.append(value)
         cur.expect(")")
-        if tuple(row) in rows:
-            raise cur.error(f"table {cid!r} repeats tuple {tuple(row)!r}")
-        rows.append(tuple(row))
+        tup = tuple(row)
+        if tup in seen:
+            raise cur.error(f"table {cid!r} repeats tuple {tup!r}")
+        seen.add(tup)
+        rows.append(tup)
     if not rows:
         raise cur.error(f"table {cid!r} allows no tuples")
     relaxable = cur.take_norelax_flag()

@@ -27,7 +27,7 @@ from dyncsp.compiler import (
     closure,
     format_rule,
 )
-from dyncsp.core import Network, PropagationRule, RuleTemplate
+from dyncsp.core import BoundRules, Network, PropagationRule, RuleTemplate
 
 from generators import faulty_layered_circuit, random_table, shared_shape_spec
 from oracles import BOOL, brute_projection, chained_fixpoint
@@ -419,6 +419,20 @@ def test_verify_rules_rejects_the_tables_generate_rejects():
             RuleTemplate(c, (BOOL, BOOL), rules)
 
 
+def test_a_declared_domain_that_repeats_a_value_is_rejected():
+    """Each value of a domain has one bit, so a repeated value would show
+    twice in a published conclusion, as ``A in {a,a}``."""
+    c = table_constraint("T", ("A", "B"), {("a", "a"), ("b", "b"), ("a", "b")})
+    decl = {"A": ("a", "a", "b"), "B": ("a", "b")}
+    message = "constraint 'T' repeats value 'a' in the domain of 'A'"
+    with pytest.raises(ValueError, match=message):
+        generate(c, decl)
+    with pytest.raises(ValueError, match=message):
+        verify_rules([], c, decl)
+    with pytest.raises(ValueError, match=message):
+        RuleTemplate(c, tuple(decl.values()), ())
+
+
 def test_a_scope_that_repeats_a_variable_is_rejected():
     """Its support table would merge two positions into one variable."""
     c = table_constraint("T", ("A", "A"), {("a", "b"), ("b", "b")})
@@ -533,6 +547,18 @@ def canonical_assignments(c, declared):
     return consistent
 
 
+def brute_walk(c, declared, layout):
+    """``(key, start, union)`` of each consistent partial assignment, in canonical order."""
+    walk = []
+    for assignment in canonical_assignments(c, declared):
+        union = 0
+        for row in supports(c, assignment):
+            union |= sum(layout.bits[pair] for pair in zip(c.scope, row))
+        key = sum(layout.bits[pair] for pair in assignment.items())
+        walk.append((key, layout.pin(assignment), union))
+    return walk
+
+
 @st.composite
 def random_tables(draw):
     """A non-empty table of arity 1-5 over domains of 2 or 3 values, in varied declared orders."""
@@ -548,18 +574,30 @@ def random_tables(draw):
 @given(random_tables())
 def test_the_walk_yields_the_consistent_assignments_in_canonical_order(case):
     """The support table's keys, walked, are exactly the consistent partial
-    assignments, each with the start that pins it; a smaller size bound
-    cuts the walk at that size."""
+    assignments, each with the start that pins it and the union of the
+    bits of its supporting tuples."""
     c, declared = case
     layout, table = _prepare(c, declared)
-    expected = canonical_assignments(c, declared)
-    walk = _walk(layout, table, len(c.scope))
-    assert [list(layout.assignment(key).items()) for key, _ in walk] == [
-        list(assignment.items()) for assignment in expected
+    walk = _walk(layout, table)
+    assert [list(layout.assignment(key).items()) for key, _, _ in walk] == [
+        list(assignment.items()) for assignment in canonical_assignments(c, declared)
     ]
-    assert [start for _, start in walk] == [layout.pin(assignment) for assignment in expected]
-    shorter = _walk(layout, table, len(c.scope) - 1)
-    assert shorter == [(key, start) for key, start in walk if key.bit_count() < len(c.scope)]
+    assert walk == brute_walk(c, declared, layout)
+
+
+@settings(deadline=None, max_examples=150)
+@given(random_tables())
+def test_a_generated_template_is_checked_against_the_walk_generate_kept(case):
+    """``generate`` keeps its walk on the template, equal to a fresh one; the
+    template's one check reads it, drops it, and reports what a check of
+    the same rules that builds its own walk reports."""
+    c, declared = case
+    template = generate(c, declared)
+    assert template.walk == _walk(*_prepare(c, declared))
+    report = verify_rules(BoundRules(template, c.id, c.scope), c, declared)
+    assert report.passed and report is template.report
+    assert template.walk is None
+    assert report == verify_rules(tuple(template.rules), c, declared)
 
 
 def raw_rules(rules):
@@ -612,11 +650,7 @@ def check_against_brute_force(c, declared, rules):
         )
         assert (witness["tuple"], witness["variable"], witness["value"]) == (list(row), var, value)
     layout = _Layout(declared)
-    starts = [
-        (sum(layout.bits[pair] for pair in assignment.items()), layout.pin(assignment))
-        for assignment in canonical_assignments(c, declared)
-    ]
-    sampled = _check_confluence(layout.pack(rules), layout, starts)
+    sampled = _check_confluence(layout.pack(rules), layout, brute_walk(c, declared, layout))
     if not sampled.passed:
         assert not report.cr2.passed
         assert report.cr3 == sampled
@@ -818,14 +852,38 @@ def test_bound_rules_read_as_the_tuple_generate_makes(monkeypatch):
     assert made == [f"Y.R{i}" for i in range(1, 7)]
 
 
+def test_build_and_verify_prepare_one_support_table_per_shape(monkeypatch):
+    """``generate`` keeps its walk on the template, and the template's one
+    check reads it, so building ``tables.net`` and verifying every
+    constraint prepares each shape's support table once, not twice."""
+    prepared = []
+    prepare = compiler._prepare
+
+    def counted(constraint, declared):
+        prepared.append(constraint.id)
+        return prepare(constraint, declared)
+
+    monkeypatch.setattr(compiler, "_prepare", counted)
+    text = (Path(__file__).parent / "fixtures" / "tables.net").read_text()
+    net = build_network(parse_network(text), assert_observations=False)
+    for cid, constraint in net.constraints.items():
+        assert verify_rules(net.rules[cid], constraint, declared_for(net, constraint)).passed, cid
+    templates = {id(c.template): c.template for c in net.constraints.values()}.values()
+    assert sorted(prepared) == sorted(template.owner for template in templates)
+    assert all(template.walk is None for template in templates)
+
+
 def test_generate_and_verify_leave_no_garbage_cycles():
-    """A compile and a check leave nothing for the cyclic garbage collector."""
+    """A compile and a check leave nothing for the cyclic garbage collector,
+    on the plain-sequence path and on the template path."""
     c = ExtensionalConstraint("X", "and", ("A", "B", "C"), gate_table("and", 2))
     declared = dict.fromkeys("ABC", BOOL)
     gc.collect()
     gc.disable()
     try:
         verify_rules(generate(c, declared).rules, c, declared)
+        assert gc.collect() == 0
+        verify_rules(BoundRules(generate(c, declared), "X", c.scope), c, declared)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -108,6 +108,16 @@ def test_network_errors_carry_their_line(text, line, fragment):
     assert f"line {line}" in str(exc.value)
 
 
+def test_a_repeated_row_is_named_as_the_first_repeat_on_its_line():
+    """Rows are tracked in a set for the repeat test and kept in written order."""
+    head = "var A bool\nvar B bool\ntable T1 ( A B ) : (true,false) (false,false) (false,true)"
+    with pytest.raises(ParseError) as exc:
+        parse_network(head + " (false,false) (true,false)")
+    assert str(exc.value) == "line 3: table 'T1' repeats tuple ('false', 'false')"
+    (table,) = parse_network(head).tables
+    assert table.tuples == (("true", "false"), ("false", "false"), ("false", "true"))
+
+
 def test_parse_error_records_the_column():
     for text, column in (
         ("var A bool\nvar A bool", 5),
